@@ -30,9 +30,10 @@ from .constants import (
     QUARTER,
     THEORETICAL,
 )
-from .core import Assignment, ConstraintGraph, InstanceError, ReconfInstance, ReconfigSequence
+from .core import InstanceError
 from .fileio import write_text_atomic
 from .seeding import stream
+from .solver import generate_instance
 
 
 def write_csv_atomic(path: str | Path, header: list[str], rows: list[list], comments: list[str] = ()) -> None:
@@ -48,114 +49,6 @@ def write_csv_atomic(path: str | Path, header: list[str], rows: list[list], comm
 def _env_int(name: str, fallback: int | None) -> int | None:
     raw = os.environ.get(name)
     return int(raw) if raw is not None else fallback
-
-
-# ---------------------------------------------------------------------------
-# Instance generation
-# ---------------------------------------------------------------------------
-
-
-def _edge_skeleton(kind: str, names: list[str], edge_count: int, rng) -> list[tuple[str, str]]:
-    if kind == "path-graph":
-        return [(names[i], names[i + 1]) for i in range(len(names) - 1)]
-    if kind == "cycle":
-        edges = [(names[i], names[i + 1]) for i in range(len(names) - 1)]
-        edges.append((names[-1], names[0]))
-        return edges
-    if kind == "random":
-        edges = []
-        for _ in range(edge_count):
-            u, v = rng.sample(names, 2)
-            edges.append((u, v))
-        return edges
-    raise InstanceError(f"unknown instance kind {kind!r}")
-
-
-def generate_instance(
-    kind: str,
-    vertices: int,
-    alphabet: int,
-    seed: int,
-    satisfiable: bool,
-    edge_count: int | None = None,
-    walk_length: int | None = None,
-    extra_tuples: int = 2,
-    budget: int = DEFAULT_BUDGET,
-    max_attempts: int = 20,
-) -> tuple[ReconfInstance, ReconfigSequence | None]:
-    """Deterministic per-seed instance generator.
-
-    With `satisfiable`, constraints are grown around a random one-vertex-move
-    walk so both endpoints satisfy the graph and the walk itself is a
-    satisfying reconfiguration sequence (returned alongside); the claim is
-    re-verified with the exact solver whenever the state space is in budget.
-    """
-    if vertices < 2:
-        raise InstanceError("need at least 2 vertices")
-    if alphabet < 2:
-        raise InstanceError("alphabet size must be at least 2")
-    names = [f"v{i}" for i in range(vertices)]
-    if edge_count is None:
-        edge_count = vertices
-    if walk_length is None:
-        walk_length = 2 * vertices
-    for attempt in range(max_attempts):
-        rng = stream(seed, "generate", kind, attempt)
-        edges = _edge_skeleton(kind, names, edge_count, rng)
-        if not satisfiable:
-            accepts = []
-            for _ in edges:
-                count = rng.randrange(1, max(2, alphabet))
-                tuples = {
-                    (rng.randrange(alphabet), rng.randrange(alphabet)) for _ in range(count)
-                }
-                accepts.append(frozenset(tuples))
-            graph = ConstraintGraph(
-                q=2,
-                vertices=tuple(names),
-                edges=tuple(edges),
-                alphabet=alphabet,
-                accepts=tuple(accepts),
-            )
-            psi_ini = Assignment({v: rng.randrange(alphabet) for v in names})
-            psi_tar = Assignment({v: rng.randrange(alphabet) for v in names})
-            return ReconfInstance(graph, psi_ini, psi_tar), None
-        start = {v: rng.randrange(alphabet) for v in names}
-        walk = [Assignment(dict(start))]
-        current = dict(start)
-        for _ in range(walk_length):
-            v = rng.choice(names)
-            symbol = rng.randrange(alphabet - 1)
-            if symbol >= current[v]:
-                symbol += 1
-            current[v] = symbol
-            walk.append(Assignment(dict(current)))
-        pair_sets: list[set[tuple[int, int]]] = [set() for _ in edges]
-        for step in walk:
-            for i, (u, v) in enumerate(edges):
-                pair_sets[i].add((step.values[u], step.values[v]))
-        for pairs in pair_sets:
-            for _ in range(extra_tuples):
-                pairs.add((rng.randrange(alphabet), rng.randrange(alphabet)))
-        graph = ConstraintGraph(
-            q=2,
-            vertices=tuple(names),
-            edges=tuple(edges),
-            alphabet=alphabet,
-            accepts=tuple(frozenset(p) for p in pair_sets),
-        )
-        instance = ReconfInstance(graph, walk[0], walk[-1])
-        seq = ReconfigSequence(tuple(walk))
-        if core.sequence_value(graph, seq) != 1:
-            continue
-        if solver.state_space_size(graph) <= min(budget, 1 << 20):
-            ok, _ = solver.reachable_at_threshold(instance, len(edges), budget=budget)
-            if not ok:
-                continue
-        return instance, seq
-    raise InstanceError(
-        "satisfiable generation timed out; try smaller --vertices/--alphabet"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +238,9 @@ def _cmd_pipeline(args) -> int:
         budget=args.budget,
         psi_seq=psi_seq,
     )
+    for s in result.stages:
+        tail = f" maxmin={s.maxmin}" if s.maxmin is not None else ""
+        print(f"{s.stage}: vertices={s.vertices} edges={s.edges} alpha={s.max_alphabet}{tail}")
     if args.report:
         write_csv_atomic(
             args.report,
@@ -393,10 +289,6 @@ def _experiment_fig2(args) -> int:
         return 0 if ok else 1
     print("n < 9: farness not asserted")
     return 0
-
-
-def _experiment_partial_sum(args) -> int:
-    return _cmd_hadamard_partial_sum(args)
 
 
 def _experiment_obs_n3(args) -> int:
@@ -455,38 +347,10 @@ def _experiment_claim_partition(args) -> int:
     return 0 if ok else 1
 
 
-def _experiment_micro_pipeline(args) -> int:
-    print(f"seed: {args.seed}")
-    if args.instance:
-        instance = core.deserialize(Path(args.instance).read_text())
-    else:
-        # keep the demo instance lean: composition alphabets grow with the
-        # satisfying-set size, so use one edge and a one-move walk
-        instance, _ = generate_instance(
-            "path-graph", 2, 4, args.seed, satisfiable=True,
-            walk_length=1, extra_tuples=0, budget=args.budget,
-        )
-    result = compose_mod.full_pipeline(instance, "micro", seed=args.seed, budget=args.budget)
-    for s in result.stages:
-        tail = f" maxmin={s.maxmin}" if s.maxmin is not None else ""
-        print(f"{s.stage}: vertices={s.vertices} edges={s.edges} alpha={s.max_alphabet}{tail}")
-    if args.out:
-        write_csv_atomic(
-            args.out,
-            ["stage", "vertices", "edges", "max-alphabet", "maxmin-numerator", "maxmin-denominator"],
-            _stage_rows(result.stages),
-            comments=_THEORY_COMMENTS,
-        )
-        print(f"report: {args.out}")
-    return 0
-
-
 _EXPERIMENTS = {
     "fig2-profile": _experiment_fig2,
-    "partial-sum": _experiment_partial_sum,
     "obs-n3": _experiment_obs_n3,
     "claim-partition": _experiment_claim_partition,
-    "micro-pipeline": _experiment_micro_pipeline,
 }
 
 
@@ -596,15 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="scripted experiments with CSV output")
     exp.add_argument("name", choices=sorted(_EXPERIMENTS))
     exp.add_argument("--n", type=int, default=_env_int("RECONF_N", None))
-    exp.add_argument(
-        "--trials", type=int, default=_env_int("RECONF_TRIALS", 100_000),
-        help="env RECONF_TRIALS",
-    )
-    exp.add_argument("--exhaustive", action="store_true")
-    exp.add_argument("--instance", default=None)
     exp.add_argument("--out", default=None)
     add_seed(exp)
-    add_budget(exp)
     exp.set_defaults(func=_dispatch_experiment)
 
     return parser
@@ -612,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _EXPERIMENT_DEFAULT_N = {
     "fig2-profile": 9,
-    "partial-sum": 128,
     "claim-partition": 4,
 }
 

@@ -16,6 +16,8 @@ per coordinate so endpoint moves never need a simultaneous two-sided change.
 from __future__ import annotations
 
 import itertools
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -476,25 +478,11 @@ class ArityReduction:
     cells: tuple[CellInfo, ...]
 
 
-def _cell_valid(cell: CellInfo, accepts: frozenset, pairs: Sequence[tuple[int, int]]) -> bool:
-    """Pairs must agree on repeated vertices and every consistent selection must be accepted."""
-    chosen: dict[str, tuple[int, int]] = {}
-    for v, pair in zip(cell.vertices, pairs):
-        if v in chosen and chosen[v] != pair:
-            return False
-        chosen[v] = pair
-    distinct = list(chosen.items())
-    for combo in itertools.product(*(sorted(set(p)) for _, p in distinct)):
-        chosen_value = {v: c for (v, _), c in zip(distinct, combo)}
-        if tuple(chosen_value[v] for v in cell.vertices) not in accepts:
-            return False
-    return True
-
-
 def _valid_cell_symbols(cell: CellInfo, accepts: frozenset) -> list[int]:
     """All valid cell values, enumerated over one pair choice per distinct vertex.
 
-    Equivalent to filtering the full alphabet through `_cell_valid`.  The
+    A cell value is valid when its pairs agree on repeated vertices and every
+    consistent selection of one value per pair is an accepted tuple.  The
     accepted-tuple set is held as one bitmask over the coordinate-value
     product space, so "every selection of this pair tuple is accepted"
     is a single AND-and-compare per candidate.
@@ -506,13 +494,6 @@ def _valid_cell_symbols(cell: CellInfo, accepts: frozenset) -> list[int]:
     for w in widths:
         value_strides.append(total)
         total *= w
-    if total > 1 << 20:
-        # fall back to the direct filter for huge coordinate spaces
-        return sorted(
-            sym
-            for sym in range(cell.alphabet)
-            if _cell_valid(cell, accepts, cell.decode(sym))
-        )
     pi_mask = 0
     for t in accepts:
         pi_mask |= 1 << sum(c * s for c, s in zip(t, value_strides))
@@ -563,6 +544,10 @@ def _valid_cell_symbols(cell: CellInfo, accepts: frozenset) -> list[int]:
     return sorted(out)
 
 
+# Largest coordinate-value product space held as one accepted-tuple bitmask.
+_MASK_COORDINATES = 1 << 20
+
+
 def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityReduction:
     """Approximation-preserving reduction from 4-ary to binary constraints.
 
@@ -577,7 +562,8 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
 
     Cell alphabets are summed up front: exceeding `cell_budget` fails fast
     before any enumeration, since materializing the binary accept sets at
-    that size would thrash rather than finish.
+    that size would thrash rather than finish.  A hyperedge whose
+    coordinate-value space exceeds 2^20 fails the same way.
     """
     graph = inst4.graph
     if graph.q != 4:
@@ -608,6 +594,13 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
             f"hyperedge {worst.hyperedge}), exceeding the budget {cell_budget}; "
             "constraints this rich are out of materialization range"
         )
+    for cell in cells:
+        coordinates = math.prod(graph.alphabet_of(v) for v in cell.vertices)
+        if coordinates > _MASK_COORDINATES:
+            raise InstanceError(
+                f"hyperedge {cell.hyperedge}: coordinate space {coordinates} exceeds "
+                f"{_MASK_COORDINATES}, too large for the accepted-tuple bitmask"
+            )
     for j, edge in enumerate(graph.edges):
         cell = cells[j]
         trace.vertex_origin[cell.name] = {"kind": "cell", "hyperedge": j}
@@ -724,12 +717,16 @@ def _max_alphabet(graph: ConstraintGraph) -> int:
     return max(graph.alphabet_of(v) for v in graph.vertices)
 
 
+# Largest state space given the full maxmin search in a stage report.
+SCAN_CAP = 4096
+
+
 def stage_maxmin(
     instance: ReconfInstance, budget: int, scan_cap: int
 ) -> tuple[Value | None, str | None]:
     """Oracle policy for one pipeline stage.
 
-    Equal endpoints need no search; small spaces get the full BFS maxmin;
+    Equal endpoints need no search; small spaces get the full maxmin search;
     spaces within the budget get a satisfying-threshold reachability check
     that can only certify the value 1; anything larger is left blank.
     """
@@ -747,10 +744,8 @@ def stage_maxmin(
     return None, None
 
 
-def _report(
-    name: str, instance: ReconfInstance, budget: int, scan_cap: int
-) -> StageReport:
-    maxmin, method = stage_maxmin(instance, budget, scan_cap)
+def _report(name: str, instance: ReconfInstance, budget: int) -> StageReport:
+    maxmin, method = stage_maxmin(instance, budget, SCAN_CAP)
     return StageReport(
         stage=name,
         vertices=len(instance.graph.vertices),
@@ -759,6 +754,15 @@ def _report(
         maxmin=maxmin,
         method=method,
     )
+
+
+@contextmanager
+def _stage(name: str):
+    """Tag an InstanceError raised inside the block with the pipeline stage."""
+    try:
+        yield
+    except InstanceError as exc:
+        raise InstanceError(f"stage {name}: {exc}") from exc
 
 
 def _merge_traces(composed: ComposedSystem, reduction: ArityReduction) -> ReductionTrace:
@@ -781,7 +785,6 @@ def full_pipeline(
     mode: str,
     seed: int = DEFAULT_SEED,
     budget: int = DEFAULT_BUDGET,
-    scan_cap: int = 4096,
     psi_seq: ReconfigSequence | None = None,
 ) -> PipelineResult:
     """Run the alphabet-reduction stages end to end.
@@ -791,32 +794,30 @@ def full_pipeline(
     the constructive completeness sequence for a supplied satisfying path
     (composition at n = 9 is out of oracle range by design).
     """
-    if mode == "micro":
-        stages = [_report("source", instance, budget, scan_cap)]
-        try:
-            system = robustize(instance)
-        except InstanceError as exc:
-            raise InstanceError(f"stage robustize: {exc}") from exc
-        if system.n > MICRO_MAX_N:
+    if mode not in ("micro", "n9"):
+        raise InstanceError(f"unknown pipeline mode {mode!r}")
+    if mode == "n9" and psi_seq is None:
+        raise InstanceError("n9 mode needs a satisfying reconfiguration sequence")
+    with _stage("robustize"):
+        system = robustize(instance)
+        if mode == "micro" and system.n > MICRO_MAX_N:
             raise InstanceError(
-                f"stage robustize: alphabet {instance.graph.alphabet} pads to n={system.n}; "
+                f"alphabet {instance.graph.alphabet} pads to n={system.n}; "
                 "micro mode requires n <= 3"
             )
-        try:
+        if mode == "n9" and system.n != 9:
+            raise InstanceError(f"n9 mode expects alphabet 512, got n={system.n}")
+    if mode == "micro":
+        stages = [_report("source", instance, budget)]
+        with _stage("circuits"):
             micro_csp = materialize_micro_csp(system)
-            stages.append(_report("circuits", micro_csp, budget, scan_cap))
-        except InstanceError as exc:
-            raise InstanceError(f"stage circuits: {exc}") from exc
-        try:
+            stages.append(_report("circuits", micro_csp, budget))
+        with _stage("compose"):
             composed = compose_system(system)
-            stages.append(_report("composed-4ary", composed.instance, budget, scan_cap))
-        except InstanceError as exc:
-            raise InstanceError(f"stage compose: {exc}") from exc
-        try:
+            stages.append(_report("composed-4ary", composed.instance, budget))
+        with _stage("arity-reduce"):
             reduction = arity_reduce(composed.instance)
-            stages.append(_report("binary", reduction.instance, budget, scan_cap))
-        except InstanceError as exc:
-            raise InstanceError(f"stage arity-reduce: {exc}") from exc
+            stages.append(_report("binary", reduction.instance, budget))
         return PipelineResult(
             mode=mode,
             stages=stages,
@@ -826,53 +827,39 @@ def full_pipeline(
             composed=composed,
             reduction=reduction,
         )
-    if mode == "n9":
-        from .robustize import completeness_sequence  # deferred: heavy path generation
+    # Looked up at call time: callers may replace robustize.completeness_sequence.
+    from .robustize import completeness_sequence
 
-        if psi_seq is None:
-            raise InstanceError("n9 mode needs a satisfying reconfiguration sequence")
-        try:
-            system = robustize(instance)
-        except InstanceError as exc:
-            raise InstanceError(f"stage robustize: {exc}") from exc
-        if system.n != 9:
-            raise InstanceError(
-                f"stage robustize: n9 mode expects alphabet 512, got n={system.n}"
-            )
-        stages = [
-            StageReport(
-                stage="source",
-                vertices=len(instance.graph.vertices),
-                edges=len(instance.graph.edges),
-                max_alphabet=_max_alphabet(instance.graph),
-                maxmin=None,
-                method=None,
-            )
-        ]
-        try:
-            sigma_seq = completeness_sequence(system, psi_seq, seed=seed)
-        except InstanceError as exc:
-            raise InstanceError(f"stage completeness: {exc}") from exc
-        all_ok = all(
-            count_satisfied(system, sigma) == len(system.circuits) for sigma in sigma_seq
+    stages = [
+        StageReport(
+            stage="source",
+            vertices=len(instance.graph.vertices),
+            edges=len(instance.graph.edges),
+            max_alphabet=_max_alphabet(instance.graph),
+            maxmin=None,
+            method=None,
         )
-        stages.append(
-            StageReport(
-                stage="circuits",
-                vertices=len(system.graph.vertices) * (1 << system.n),
-                edges=len(system.circuits),
-                max_alphabet=2,
-                maxmin=None,
-                method=None,
-            )
+    ]
+    with _stage("completeness"):
+        sigma_seq = completeness_sequence(system, psi_seq, seed=seed)
+    all_ok = all(
+        count_satisfied(system, sigma) == len(system.circuits) for sigma in sigma_seq
+    )
+    stages.append(
+        StageReport(
+            stage="circuits",
+            vertices=len(system.graph.vertices) * (1 << system.n),
+            edges=len(system.circuits),
+            max_alphabet=2,
+            maxmin=None,
+            method=None,
         )
-        trace = ReductionTrace(stage="pipeline-n9")
-        return PipelineResult(
-            mode=mode,
-            stages=stages,
-            system=system,
-            trace=trace,
-            n9_steps=len(sigma_seq),
-            n9_all_satisfied=all_ok,
-        )
-    raise InstanceError(f"unknown pipeline mode {mode!r}")
+    )
+    return PipelineResult(
+        mode=mode,
+        stages=stages,
+        system=system,
+        trace=ReductionTrace(stage="pipeline-n9"),
+        n9_steps=len(sigma_seq),
+        n9_all_satisfied=all_ok,
+    )

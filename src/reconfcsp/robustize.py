@@ -104,11 +104,6 @@ def decode_block(f: BitFunction) -> int:
     return _decode_profile(f.n, f.bits, 0)[0]
 
 
-def list_decode(f: BitFunction, radius: int) -> tuple[int, ...]:
-    """All symbols whose codewords are within the given Hamming radius of f."""
-    return _decode_profile(f.n, f.bits, radius)[2]
-
-
 def eval_circuit(circuit: RobustCircuit, f: BitFunction, g: BitFunction) -> bool:
     """Semantic circuit evaluation by exhaustive list decoding.
 
@@ -134,10 +129,6 @@ def count_satisfied(system: CircuitSystem, sigma: BlockAssignment) -> int:
         for c in system.circuits
         if eval_circuit(c, sigma.blocks[c.v], sigma.blocks[c.w])
     )
-
-
-def satisfies_all(system: CircuitSystem, sigma: BlockAssignment) -> bool:
-    return count_satisfied(system, sigma) == len(system.circuits)
 
 
 def pad_alphabet(instance: ReconfInstance) -> tuple[ReconfInstance, int]:
@@ -313,11 +304,6 @@ def _micro_guard(n: int) -> None:
 def concat_blocks(f: BitFunction, g: BitFunction) -> int:
     """f followed by g as one integer: f occupies the low 2^n bits."""
     return f.bits | (g.bits << f.length)
-
-
-def split_blocks(n: int, bits: int) -> tuple[BitFunction, BitFunction]:
-    length = 1 << n
-    return BitFunction(n, bits & ((1 << length) - 1)), BitFunction(n, bits >> length)
 
 
 @lru_cache(maxsize=None)

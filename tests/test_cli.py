@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from reconfcsp import core
 from reconfcsp.cli import main, write_text_atomic
 from reconfcsp.core import value
@@ -34,6 +36,11 @@ def test_generate_usage_error(tmp_path):
     code = run("generate", "--kind", "path-graph", "--vertices", 3, "--alphabet", 1,
                "--out", tmp_path / "x.json")
     assert code == 2
+    # each experiment has one entrypoint: these live under `hadamard` and `pipeline`
+    for name in ("partial-sum", "micro-pipeline"):
+        with pytest.raises(SystemExit) as exc:
+            run("experiment", name)
+        assert exc.value.code == 2
 
 
 def test_generate_kinds(tmp_path):
@@ -168,10 +175,31 @@ def test_experiment_fig2(tmp_path, capsys):
     assert "min-dist-to-other everywhere > 1/4 + 1/400: True" in capsys.readouterr().out
 
 
-def test_experiment_micro_pipeline(tmp_path, capsys):
+def test_generate_then_pipeline_micro(tmp_path, capsys):
+    inst_path = tmp_path / "lean.json"
+    assert run("generate", "--kind", "path-graph", "--vertices", 2, "--alphabet", 4,
+               "--satisfiable", "--walk", 1, "--extra", 0, "--seed", 3,
+               "--out", inst_path) == 0
     csv_path = tmp_path / "micro.csv"
-    assert run("experiment", "micro-pipeline", "--seed", 3, "--out", csv_path) == 0
+    assert run("pipeline", "--instance", inst_path, "--mode", "micro",
+               "--report", csv_path) == 0
     assert csv_path.exists()
+    lines = csv_path.read_text().splitlines()
+    assert lines[:5] == [
+        "stage,vertices,edges,max-alphabet,maxmin-numerator,maxmin-denominator",
+        "source,2,1,4,1,1",
+        "circuits,8,1,2,0,1",
+        "composed-4ary,10,64,8,,",
+        "binary,74,256,11664,,",
+    ]
+    out = capsys.readouterr().out
+    for line in (
+        "source: vertices=2 edges=1 alpha=4 maxmin=1/1",
+        "circuits: vertices=8 edges=1 alpha=2 maxmin=0/1",
+        "composed-4ary: vertices=10 edges=64 alpha=8",
+        "binary: vertices=74 edges=256 alpha=11664",
+    ):
+        assert line in out.splitlines()
 
 
 def test_env_override_seed(tmp_path, capsys, monkeypatch):

@@ -249,6 +249,11 @@ def test_arity_reduce_budget_fails_fast():
     inst = _four_ary(CHAIN, (0, 0, 0, 0), (1, 1, 1, 1))
     with pytest.raises(InstanceError, match="exceeding the budget"):
         arity_reduce(inst, cell_budget=10)
+    # 33^4 coordinate values exceed the bitmask range: refused before any
+    # of the ~10^11 cell values is looked at, whatever the cell budget
+    wide = _four_ary([(0, 0, 0, 0)], (0, 0, 0, 0), (0, 0, 0, 0), alphabet=33)
+    with pytest.raises(InstanceError, match="hyperedge 0: coordinate space 1185921"):
+        arity_reduce(wide, cell_budget=1 << 40)
 
 
 def test_arity_reduce_multiple_hyperedges_get_their_own_cells():

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reconfcsp.core import (
@@ -145,6 +145,15 @@ def solvable_instances(draw):
 
 
 @given(solvable_instances())
+@example(
+    # the widest-path search first reaches psi_tar along another sequence
+    # than the BFS at the optimum does; the witness is still the BFS one
+    ReconfInstance(
+        ConstraintGraph(2, ("v0", "v1", "v2"), (("v2", "v0"),), 2, (frozenset({(0, 0), (1, 1)}),)),
+        Assignment({"v0": 1, "v1": 1, "v2": 1}),
+        Assignment({"v0": 0, "v1": 0, "v2": 0}),
+    )
+)
 @settings(max_examples=40, deadline=None)
 def test_threshold_monotonicity_and_dfs_agreement(inst):
     total = len(inst.graph.edges)
@@ -152,7 +161,11 @@ def test_threshold_monotonicity_and_dfs_agreement(inst):
     # once unreachable, higher thresholds stay unreachable
     for lo, hi in zip(flags, flags[1:]):
         assert lo or not hi
-    assert maxmin_value(inst).optimum == dfs_maxmin(inst)
+    result = maxmin_value(inst)
+    assert result.optimum == dfs_maxmin(inst)
+    best = max(k for k, ok in enumerate(flags) if ok)
+    assert result.optimum.satisfied == best
+    assert result.witness == reachable_at_threshold(inst, best)[1]
 
 
 @given(solvable_instances())
