@@ -99,7 +99,25 @@ def _profile_rows(path) -> list[list[int]]:
     return [list(row) for row in hadamard.distance_profile(path)]
 
 
+# Largest n for codeword-path commands: the (2^(n-1) + 1) x 2^n int32
+# path-distance matrix stays within 2049 x 4096 (32 MiB).
+PATH_MAX_N = 12
+
+
+def _check_path_n(n: int) -> None:
+    if not 2 <= n <= PATH_MAX_N:
+        raise InstanceError(f"--n must be in 2..{PATH_MAX_N}, got {n}")
+
+
 def _cmd_hadamard_path(args) -> int:
+    _check_path_n(args.n)
+    for flag, symbol in (("--alpha", args.alpha), ("--beta", args.beta)):
+        if not 0 <= symbol < (1 << args.n):
+            raise InstanceError(f"{flag} {symbol} is outside [0, {1 << args.n}) for n={args.n}")
+    if args.alpha == args.beta:
+        raise InstanceError("--alpha and --beta must differ")
+    if args.retries < 1:
+        raise InstanceError(f"--retries must be at least 1, got {args.retries}")
     print(f"seed: {args.seed}")
     path = hadamard.generate_codeword_path(
         args.alpha, args.beta, args.n, args.seed, max_retries=args.retries
@@ -156,8 +174,7 @@ def _cmd_robustize(args) -> int:
 
 def _cmd_verify_sequence(args) -> int:
     system = robustize.read_system(args.system)
-    raw = json.loads(Path(args.sigma).read_text())
-    steps = [robustize.blocks_from_obj(system.n, obj) for obj in raw["steps"]]
+    steps = robustize.read_block_sequence(system, args.sigma)
     total = len(system.circuits)
     all_ok = True
     previous = None
@@ -268,6 +285,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _experiment_fig2(args) -> int:
+    _check_path_n(args.n)
     print(f"seed: {args.seed}")
     rng = stream(args.seed, "fig2", args.n)
     alpha = rng.randrange(1 << args.n)

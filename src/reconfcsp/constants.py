@@ -25,6 +25,10 @@ DEFAULT_SEED = 1729
 DEFAULT_BUDGET = 2**24
 
 
+# Relative radius of the strict decoding clause of a robust circuit.
+CLAUSE_TWO = QUARTER + FARNESS_MARGIN / 2
+
+
 def clause_two_radius(n: int, weakened: bool = False) -> int:
     """Hamming radius of the decoding clause of a robust circuit.
 
@@ -32,9 +36,8 @@ def clause_two_radius(n: int, weakened: bool = False) -> int:
     variant (negative testing only) uses exactly 1/4.  Both are converted
     to a Hamming count with floor, which preserves "<=" on rationals.
     """
-    length = 1 << n
-    radius = QUARTER if weakened else QUARTER + FARNESS_MARGIN / 2
-    return int(radius * length)
+    radius = QUARTER if weakened else CLAUSE_TWO
+    return (radius.numerator << n) // radius.denominator
 
 
 def quarter_radius(n: int) -> int:

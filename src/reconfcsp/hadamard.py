@@ -5,6 +5,13 @@ x (an integer) is the vector whose j-th coordinate is bit j of x, and the
 bit of f at x is `(bits >> x) & 1`.  The codeword of alpha has bit
 parity(alpha & x) at position x; distinct codewords sit at relative
 distance exactly 1/2.
+
+Distances to all 2^n codewords come from one kernel over a cached uint64
+word matrix: `codeword_distances` popcounts a block against every codeword
+at once, and `path_distances` gives the whole (step x codeword) matrix of a
+single-bit path by a cumulative sum of per-flip +-1 updates (the
+Walsh-Hadamard identity W_f(gamma) = 2^n - 2 dist(f, had(gamma)) in Hamming
+units).  Path checks, distance profiles and block decoding read from them.
 """
 
 from __future__ import annotations
@@ -66,6 +73,28 @@ def codeword_table(n: int) -> tuple[int, ...]:
                 bits |= 1 << x
         table.append(bits)
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def codeword_words(n: int) -> np.ndarray:
+    """The codeword table as a read-only (words, 2^n) uint64 matrix.
+
+    Column alpha holds alpha's codeword, 64 positions per little-endian word;
+    storing it word-major lets the per-codeword popcount sum run down
+    contiguous rows.
+    """
+    words = max(1, (1 << n) // 64)
+    raw = b"".join(cw.to_bytes(8 * words, "little") for cw in codeword_table(n))
+    matrix = np.frombuffer(raw, dtype="<u8").reshape(1 << n, words).T.copy()
+    matrix.flags.writeable = False
+    return matrix
+
+
+def codeword_distances(n: int, bits: int) -> np.ndarray:
+    """Hamming distance from the 2^n-bit block `bits` to every codeword, indexed by symbol."""
+    table = codeword_words(n)
+    block = np.frombuffer(bits.to_bytes(8 * len(table), "little"), dtype="<u8")
+    return np.bitwise_count(table ^ block[:, None]).sum(axis=0, dtype=np.int32)
 
 
 def had_encode(alpha: int, n: int) -> BitFunction:
@@ -166,21 +195,52 @@ def build_path(alpha: int, beta: int, n: int, flip_order: Sequence[int]) -> Code
     return CodewordPath(n, alpha, beta, tuple(steps), tuple(flip_order))
 
 
+def path_distances(path: CodewordPath) -> np.ndarray:
+    """(steps, 2^n) int32 matrix whose entry [t, gamma] is the distance of step t to had(gamma).
+
+    Row 0 is one kernel call; flipping position x of f then changes the
+    distance to gamma by (-1)^(f(x) + gamma.x), and because the Hadamard
+    matrix is symmetric those signs are the codeword of x.  Every step must
+    change exactly one bit.
+    """
+    n, steps = path.n, path.steps
+    positions, before = [], []
+    for t in range(len(steps) - 1):
+        delta = steps[t].bits ^ steps[t + 1].bits
+        if delta.bit_count() != 1:
+            raise ValueError(f"path step {t} changes {delta.bit_count()} bits, not one")
+        x = delta.bit_length() - 1
+        positions.append(x)
+        before.append((steps[t].bits >> x) & 1)
+    dist = np.empty((len(steps), 1 << n), dtype=np.int32)
+    dist[0] = codeword_distances(n, steps[0].bits)
+    if positions:
+        rows = np.ascontiguousarray(codeword_words(n)[:, positions].T).view(np.uint8)
+        flips = np.unpackbits(rows, axis=1, count=1 << n, bitorder="little")
+        flips ^= np.array(before, dtype=np.uint8)[:, None]  # 1 where the flip moves closer
+        dist[1:] = flips
+        dist[1:] *= -2
+        dist[1:] += 1
+        np.cumsum(dist, axis=0, out=dist)
+    return dist
+
+
+def _first_close(
+    path: CodewordPath, dist: np.ndarray, radius: Fraction
+) -> tuple[int, int, Fraction] | None:
+    length = 1 << path.n
+    close = dist <= int(radius * length)  # dist <= radius  <=>  hamming <= floor(radius * 2^n)
+    close[:, [path.alpha, path.beta]] = False
+    first = int(close.argmax())  # first row-major hit: earliest step, then smallest gamma
+    if not close.flat[first]:
+        return None
+    t, gamma = divmod(first, length)
+    return t, gamma, Fraction(int(dist[t, gamma]), length)
+
+
 def find_close_step(path: CodewordPath, radius: Fraction) -> tuple[int, int, Fraction] | None:
     """First (step, gamma, distance) with a third codeword within `radius`, else None."""
-    n = path.n
-    length = 1 << n
-    limit = int(radius * length)  # dist <= radius  <=>  hamming <= floor(radius * 2^n)
-    table = codeword_table(n)
-    skip = {path.alpha, path.beta}
-    others = [(gamma, table[gamma]) for gamma in range(1 << n) if gamma not in skip]
-    for t, f in enumerate(path.steps):
-        bits = f.bits
-        for gamma, cw in others:
-            d = (bits ^ cw).bit_count()
-            if d <= limit:
-                return t, gamma, Fraction(d, length)
-    return None
+    return _first_close(path, path_distances(path), radius)
 
 
 def verify_codeword_path(path: CodewordPath) -> PathReport:
@@ -190,7 +250,6 @@ def verify_codeword_path(path: CodewordPath) -> PathReport:
     1/4 + FARNESS_MARGIN away from every codeword other than the endpoints.
     """
     n = path.n
-    length = 1 << n
     start = had_encode(path.alpha, n)
     end = had_encode(path.beta, n)
     d_set = disagreement_set(path.alpha, path.beta, n)
@@ -203,7 +262,6 @@ def verify_codeword_path(path: CodewordPath) -> PathReport:
         return PathReport(False, "structure", detail="wrong number of steps")
     if sorted(path.flip_order) != sorted(d_set):
         return PathReport(False, "structure", detail="flip order is not a permutation of D")
-    quarter = length // 4
     for t in range(len(path.steps) - 1):
         delta = path.steps[t].bits ^ path.steps[t + 1].bits
         if delta.bit_count() != 1:
@@ -212,14 +270,15 @@ def verify_codeword_path(path: CodewordPath) -> PathReport:
         if position not in d_set:
             return PathReport(False, "structure", t,
                               detail=f"flipped position {position} lies outside D")
-    for t, f in enumerate(path.steps):
-        if min(hamming(f, start), hamming(f, end)) > quarter:
-            return PathReport(False, "distance", t,
-                              detail="step farther than 1/4 from both endpoints")
-    hit = find_close_step(path, QUARTER + FARNESS_MARGIN)
+    dist = path_distances(path)
+    far = np.minimum(dist[:, path.alpha], dist[:, path.beta]) > (1 << n) // 4
+    if far.any():
+        return PathReport(False, "distance", int(far.argmax()),
+                          detail="step farther than 1/4 from both endpoints")
+    hit = _first_close(path, dist, QUARTER + FARNESS_MARGIN)
     if hit is not None:
-        t, gamma, dist = hit
-        return PathReport(False, "distance", t, gamma, dist,
+        t, gamma, distance = hit
+        return PathReport(False, "distance", t, gamma, distance,
                           detail="third codeword within 1/4 + margin")
     return PathReport(True)
 
@@ -266,19 +325,14 @@ def generate_codeword_path(
 
 def distance_profile(path: CodewordPath) -> list[tuple[int, int, int, int]]:
     """Rows (step, hamming-to-alpha, hamming-to-beta, min-hamming-to-others)."""
-    table = codeword_table(path.n)
-    a, b = table[path.alpha], table[path.beta]
-    others = [table[g] for g in range(1 << path.n) if g not in (path.alpha, path.beta)]
-    rows = []
-    for t, f in enumerate(path.steps):
-        bits = f.bits
-        rows.append((
-            t,
-            (bits ^ a).bit_count(),
-            (bits ^ b).bit_count(),
-            min((bits ^ cw).bit_count() for cw in others),
-        ))
-    return rows
+    dist = path_distances(path)
+    others = np.delete(dist, [path.alpha, path.beta], axis=1).min(axis=1)
+    return list(zip(
+        range(len(dist)),
+        dist[:, path.alpha].tolist(),
+        dist[:, path.beta].tolist(),
+        others.tolist(),
+    ))
 
 
 def exhaust_flip_orders(alpha: int, beta: int, n: int, radius: Fraction = QUARTER):

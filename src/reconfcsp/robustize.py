@@ -1,20 +1,25 @@
 """Robustization: binary constraints become circuits over codeword blocks.
 
 Each vertex of the source graph gets a block of 2^n Boolean variables; each
-edge gets a circuit that list-decodes the two blocks by exhaustive codeword
-scan and checks the decoded pairs against the source constraint.  Circuits
-stay semantic (a predicate over two blocks); only the micro oracle ever
-materializes their truth tables, and only for n <= 3.
+edge gets a circuit that list-decodes the two blocks from their distances
+to all 2^n codewords (one `hadamard.codeword_distances` kernel call per
+block, behind a bounded cache) and checks the decoded pairs against the
+source constraint.  Circuits stay semantic (a predicate over two blocks);
+only the micro oracle ever materializes their truth tables, and only for
+n <= 3.
 """
 
 from __future__ import annotations
 
 import json
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .constants import FARNESS_MARGIN, MIN_SOUND_N, clause_two_radius, quarter_radius
 from .fileio import write_text_atomic
@@ -29,7 +34,7 @@ from .core import (
 )
 from .hadamard import (
     BitFunction,
-    codeword_table,
+    codeword_distances,
     disagreement_set,
     generate_codeword_path,
     had_encode,
@@ -80,23 +85,16 @@ class CircuitSystem:
     original_alphabet: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _decode_profile(n: int, bits: int, radius: int) -> tuple[int, int, tuple[int, ...]]:
     """(nearest symbol, nearest Hamming distance, symbols within `radius`).
 
-    Nearest ties break toward the smallest symbol because the scan is in
-    ascending symbol order with strict improvement.
+    Computed from the distances to all 2^n codewords; nearest ties break
+    toward the smallest symbol because argmin returns the first minimum.
     """
-    best_sym = 0
-    best_dist = 1 << n
-    within: list[int] = []
-    for sym, cw in enumerate(codeword_table(n)):
-        d = (bits ^ cw).bit_count()
-        if d < best_dist:
-            best_sym, best_dist = sym, d
-        if d <= radius:
-            within.append(sym)
-    return best_sym, best_dist, tuple(within)
+    dist = codeword_distances(n, bits)
+    best = int(dist.argmin())
+    return best, int(dist[best]), tuple(np.flatnonzero(dist <= radius).tolist())
 
 
 def decode_block(f: BitFunction) -> int:
@@ -452,8 +450,44 @@ def blocks_to_obj(sigma: BlockAssignment) -> dict:
     return {v: block.to_hex() for v, block in sigma.blocks.items()}
 
 
-def blocks_from_obj(n: int, obj: dict) -> BlockAssignment:
-    return BlockAssignment(n, {v: BitFunction.from_hex(n, text) for v, text in obj.items()})
+_HEX_DIGITS = frozenset(string.hexdigits)
+
+
+def blocks_from_obj(n: int, obj, vertices: Sequence[str], where: str) -> BlockAssignment:
+    """Parse {vertex: hex block} with exactly `vertices` as keys.
+
+    Raises InstanceError naming `where` and the offending vertex.
+    """
+    if not isinstance(obj, dict):
+        raise InstanceError(f"{where}: expected an object mapping vertices to hex blocks")
+    for v in vertices:
+        if v not in obj:
+            raise InstanceError(f"{where}: missing vertex {v!r}")
+    unknown = sorted(obj.keys() - set(vertices))
+    if unknown:
+        raise InstanceError(f"{where}: unknown vertex {unknown[0]!r}")
+    blocks = {}
+    for v, text in obj.items():
+        try:
+            if not isinstance(text, str) or not text or not set(text) <= _HEX_DIGITS:
+                raise ValueError("not a hex string")
+            blocks[v] = BitFunction.from_hex(n, text)
+        except ValueError as exc:
+            raise InstanceError(
+                f"{where}: vertex {v!r}: block {text!r} is not a 2^{n}-bit hex block ({exc})"
+            ) from None
+    return BlockAssignment(n, blocks)
+
+
+def read_block_sequence(system: CircuitSystem, path: str | Path) -> list[BlockAssignment]:
+    """Read a {"steps": [{vertex: hex block}, ...]} file checked against the system's vertices."""
+    raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict) or not isinstance(raw.get("steps"), list):
+        raise InstanceError(f'{path}: expected an object with a "steps" list')
+    return [
+        blocks_from_obj(system.n, obj, system.graph.vertices, f"{path} step {t}")
+        for t, obj in enumerate(raw["steps"])
+    ]
 
 
 def write_system(system: CircuitSystem, directory: str | Path) -> None:
@@ -469,35 +503,47 @@ def write_system(system: CircuitSystem, directory: str | Path) -> None:
 
 def read_system(directory: str | Path) -> CircuitSystem:
     directory = Path(directory)
-    obj = json.loads((directory / "system.json").read_text())
-    n = obj["n"]
-    weakened = obj.get("weakened", False)
-    vertices = tuple(obj["vertices"])
-    edges = tuple(tuple(e["vertices"]) for e in obj["edges"])
-    accepts = tuple(
-        frozenset(tuple(p) for p in e["accept"]) for e in obj["edges"]
-    )
-    graph = ConstraintGraph(
-        q=2, vertices=vertices, edges=edges, alphabet=1 << n, accepts=accepts
-    )
-    circuits = tuple(
-        RobustCircuit(
-            edge_index=e["id"],
-            v=e["vertices"][0],
-            w=e["vertices"][1],
-            pairs=frozenset(tuple(p) for p in e["accept"]),
-            n=n,
-            weakened=weakened,
+    source = directory / "system.json"
+    obj = json.loads(source.read_text())
+    try:
+        n = obj["n"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+            raise ValueError(f'"n" must be an integer >= 2, got {n!r}')
+        weakened = obj.get("weakened", False)
+        vertices = tuple(obj["vertices"])
+        edges = tuple(tuple(e["vertices"]) for e in obj["edges"])
+        accepts = tuple(
+            frozenset(tuple(p) for p in e["accept"]) for e in obj["edges"]
         )
-        for e in obj["edges"]
-    )
-    sigma_ini = blocks_from_obj(n, json.loads((directory / "sigma_ini.json").read_text()))
-    sigma_tar = blocks_from_obj(n, json.loads((directory / "sigma_tar.json").read_text()))
+        graph = ConstraintGraph(
+            q=2, vertices=vertices, edges=edges, alphabet=1 << n, accepts=accepts
+        )
+        circuits = tuple(
+            RobustCircuit(
+                edge_index=e["id"],
+                v=e["vertices"][0],
+                w=e["vertices"][1],
+                pairs=frozenset(tuple(p) for p in e["accept"]),
+                n=n,
+                weakened=weakened,
+            )
+            for e in obj["edges"]
+        )
+        original_alphabet = obj.get("original_alphabet", 1 << n)
+    except KeyError as exc:
+        raise InstanceError(f"{source}: missing key {exc.args[0]!r}") from None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise InstanceError(f"{source}: {exc}") from None
+
+    def read_blocks(name: str) -> BlockAssignment:
+        path = directory / name
+        return blocks_from_obj(n, json.loads(path.read_text()), vertices, str(path))
+
     return CircuitSystem(
         circuits=circuits,
         graph=graph,
-        sigma_ini=sigma_ini,
-        sigma_tar=sigma_tar,
+        sigma_ini=read_blocks("sigma_ini.json"),
+        sigma_tar=read_blocks("sigma_tar.json"),
         n=n,
-        original_alphabet=obj.get("original_alphabet", 1 << n),
+        original_alphabet=original_alphabet,
     )

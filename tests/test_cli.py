@@ -78,6 +78,27 @@ def test_hadamard_path_verify(tmp_path, capsys):
     assert "verification: pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["hadamard", "path", "--n", 4, "--alpha", 99, "--beta", 1],
+    ["hadamard", "path", "--n", 4, "--alpha", 1, "--beta", 16],
+    ["hadamard", "path", "--n", 4, "--alpha", -1, "--beta", 1],
+    ["hadamard", "path", "--n", 4, "--alpha", 5, "--beta", 5],
+    ["hadamard", "path", "--n", 1, "--alpha", 0, "--beta", 1],
+    ["hadamard", "path", "--n", 13, "--alpha", 0, "--beta", 1],
+    ["hadamard", "path", "--n", 9, "--alpha", 0, "--beta", 1, "--retries", 0],
+    ["experiment", "fig2-profile", "--n", 1],
+], ids=["alpha-too-big", "beta-too-big", "alpha-negative", "alpha-equals-beta",
+        "n-too-small", "n-too-big", "no-retries", "fig2-n-too-small"])
+def test_hadamard_path_input_guards(argv, capsys):
+    from reconfcsp.hadamard import codeword_table
+
+    codeword_table.cache_clear()
+    assert run(*argv) == 2
+    assert codeword_table.cache_info().currsize == 0  # refused before any table is built
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and "Traceback" not in err
+
+
 def test_hadamard_partial_sum_exhaustive(capsys):
     assert run("hadamard", "partial-sum", "--n", 2, "--exhaustive") == 0
     assert "1/6" in capsys.readouterr().out
@@ -125,6 +146,53 @@ def test_system_flow(tmp_path, capsys):
     binary = core.deserialize(out_file.read_text())
     assert binary.graph.q == 2
     assert json.loads(trace_file.read_text())["notes"]["soundness_loss_factor"] == 4
+
+
+def _sigma_file(tmp_path, steps) -> str:
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps(steps))
+    return path
+
+
+_MALFORMED = {
+    "block-not-hex": "step 1: vertex 'u': block 'zz'",
+    "block-not-string": "step 1: vertex 'u': block 5",
+    "block-too-long": "step 1: vertex 'u': block 'ff'",
+    "step-missing-vertex": "step 1: missing vertex 'w'",
+    "no-steps": 'expected an object with a "steps" list',
+    "system-without-n": "system.json: missing key 'n'",
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_sigma_and_system_files_exit_2(tmp_path, capsys, case):
+    from conftest import single_edge
+
+    inst_path = tmp_path / "inst.json"
+    write_text_atomic(inst_path, core.serialize(single_edge({(0, 0)}, 4, (0, 0), (0, 0))))
+    sys_dir = tmp_path / "sys"
+    assert run("robustize", "--instance", inst_path, "--out", sys_dir) == 0
+    good = json.loads((sys_dir / "sigma_ini.json").read_text())  # n = 2: one hex digit
+    steps = {
+        "block-not-hex": [good, {**good, "u": "zz"}],
+        "block-not-string": [good, {**good, "u": 5}],
+        "block-too-long": [good, {**good, "u": "ff"}],
+        "step-missing-vertex": [good, {"u": good["u"]}],
+    }
+    if case == "system-without-n":
+        obj = json.loads((sys_dir / "system.json").read_text())
+        del obj["n"]
+        (sys_dir / "system.json").write_text(json.dumps(obj))
+        argv = ["compose", "--system", sys_dir, "--out", tmp_path / "composed"]
+    else:
+        sigma = {"steps": steps[case]} if case in steps else {"stairs": [good]}
+        argv = ["verify-sequence", "--system", sys_dir, "--sigma", _sigma_file(tmp_path, sigma)]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and _MALFORMED[case] in err and "Traceback" not in err
+    if case != "system-without-n":
+        assert "sigma.json" in err
 
 
 def test_pipeline_micro_report(tmp_path):

@@ -9,7 +9,9 @@ from reconfcsp.constants import FARNESS_MARGIN, QUARTER
 from reconfcsp.hadamard import (
     BitFunction,
     PathGenerationError,
+    CodewordPath,
     build_path,
+    codeword_distances,
     codeword_table,
     disagreement_set,
     distance_profile,
@@ -22,9 +24,11 @@ from reconfcsp.hadamard import (
     partial_sum_exhaustive,
     partial_sum_experiment,
     partition_triple,
+    path_distances,
     rel_distance,
     verify_codeword_path,
 )
+from reconfcsp.seeding import stream
 
 # Fixed position order used by the frozen n=3 codeword rows below.
 COLUMN_ORDER = [0b000, 0b001, 0b010, 0b100, 0b110, 0b101, 0b011, 0b111]
@@ -192,6 +196,78 @@ def test_flip_mechanism_against_partition():
             else:
                 assert pos in report.p_beta
                 assert after == before + 1
+
+
+# ---------------------------------------------------------------------------
+# Distance kernel against the pure-Python popcount scan (independent oracle)
+# ---------------------------------------------------------------------------
+
+
+def scan_distances(n: int, bits: int) -> list[int]:
+    return [(bits ^ cw).bit_count() for cw in codeword_table(n)]
+
+
+def scan_first_close(path, radius):
+    """First (step, gamma, distance) in step order, then ascending gamma."""
+    length = 1 << path.n
+    limit = int(radius * length)
+    for t, f in enumerate(path.steps):
+        for gamma, d in enumerate(scan_distances(path.n, f.bits)):
+            if gamma not in (path.alpha, path.beta) and d <= limit:
+                return t, gamma, Fraction(d, length)
+    return None
+
+
+def test_codeword_distances_match_scan_exhaustive_small_n():
+    for n in (2, 3, 4):
+        for bits in range(1 << (1 << n)):
+            assert codeword_distances(n, bits).tolist() == scan_distances(n, bits)
+
+
+def test_codeword_distances_match_scan_seeded():
+    for n in range(5, 11):
+        rng = stream(5, "kernel-blocks", n)
+        for _ in range(500):
+            bits = rng.getrandbits(1 << n)
+            assert codeword_distances(n, bits).tolist() == scan_distances(n, bits)
+
+
+def test_path_distances_match_scan_at_n9():
+    path = generate_codeword_path(40, 333, 9, seed=6)
+    dist = path_distances(path)
+    assert dist.shape == (257, 512)
+    for t, f in enumerate(path.steps):
+        assert dist[t].tolist() == scan_distances(9, f.bits)
+
+
+def test_path_distances_reject_multi_bit_step():
+    a, b = had_encode(0, 3), had_encode(1, 3)
+    path = CodewordPath(3, 0, 1, (a, b), ())
+    with pytest.raises(ValueError, match="changes 4 bits"):
+        path_distances(path)
+
+
+def test_find_close_step_matches_scan_all_orders_n3():
+    orders = 0
+    for order, hit in exhaust_flip_orders(0, 1, 3):
+        assert hit == scan_first_close(build_path(0, 1, 3, order), QUARTER)
+        orders += 1
+    assert orders == 24
+
+
+def test_find_close_step_matches_scan_at_n9():
+    far = QUARTER + FARNESS_MARGIN
+    for seed in range(3):
+        rng = stream(seed, "kernel-paths")
+        alpha, beta = rng.sample(range(512), 2)
+        path = generate_codeword_path(alpha, beta, 9, seed=seed)
+        hit = find_close_step(path, Fraction(1, 2))
+        assert hit is not None and hit == scan_first_close(path, Fraction(1, 2))
+        # at 9/20 the first hit lies mid-path, not at the alpha codeword
+        hit = find_close_step(path, Fraction(9, 20))
+        assert hit is not None and hit[0] > 0
+        assert hit == scan_first_close(path, Fraction(9, 20))
+        assert find_close_step(path, far) is None is scan_first_close(path, far)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from reconfcsp.constants import FARNESS_MARGIN, clause_two_radius, quarter_radius
+from reconfcsp.constants import FARNESS_MARGIN, QUARTER, clause_two_radius, quarter_radius
 from reconfcsp.core import (
     Assignment,
     InstanceError,
@@ -13,6 +13,7 @@ from reconfcsp.core import (
 )
 from reconfcsp.hadamard import (
     BitFunction,
+    codeword_table,
     disagreement_set,
     generate_codeword_path,
     had_encode,
@@ -22,6 +23,7 @@ from reconfcsp.hadamard import (
 from reconfcsp.robustize import (
     BlockAssignment,
     RobustCircuit,
+    _decode_profile,
     adversarial_block_sequence,
     completeness_sequence,
     concat_blocks,
@@ -40,6 +42,7 @@ from reconfcsp.robustize import (
     write_system,
 )
 from reconfcsp import solver
+from reconfcsp.seeding import stream
 
 from conftest import single_edge
 
@@ -112,6 +115,10 @@ def test_clause_two_radius_values():
     assert clause_two_radius(9) == 128  # floor((1/4 + 1/800) * 512)
     assert clause_two_radius(10) == 257 and quarter_radius(10) == 256
     assert clause_two_radius(2, weakened=True) == 1 == clause_two_radius(2)
+    for n in range(2, 17):
+        length = 1 << n
+        assert clause_two_radius(n) == int((QUARTER + FARNESS_MARGIN / 2) * length)
+        assert clause_two_radius(n, weakened=True) == int(QUARTER * length)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +212,38 @@ def test_decode_block_examples():
     mid = BitFunction(3, (1 << d[0]) | (1 << d[1]))
     assert hamming(mid, had_encode(0, 3)) == hamming(mid, had_encode(1, 3)) == 2
     assert decode_block(mid) == 0
+
+
+def scan_decode_profile(n: int, bits: int, radius: int):
+    """Independent oracle: popcount scan in ascending symbol order, strict improvement."""
+    best_sym, best_dist, within = 0, 1 << n, []
+    for sym, cw in enumerate(codeword_table(n)):
+        d = (bits ^ cw).bit_count()
+        if d < best_dist:
+            best_sym, best_dist = sym, d
+        if d <= radius:
+            within.append(sym)
+    return best_sym, best_dist, tuple(within)
+
+
+def test_decode_profile_matches_scan_on_exact_ties():
+    for n in (3, 5, 7, 9):
+        rng = stream(n, "decode-ties")
+        for trial in range(6):
+            alpha, beta = rng.sample(range(1 << n), 2)
+            path = generate_codeword_path(alpha, beta, n, seed=trial)
+            mid = path.steps[len(path.steps) // 2]
+            assert hamming(mid, had_encode(alpha, n)) == hamming(mid, had_encode(beta, n))
+            assert hamming(mid, had_encode(alpha, n)) == 1 << (n - 2)
+            for radius in (0, quarter_radius(n), clause_two_radius(n)):
+                expected = scan_decode_profile(n, mid.bits, radius)
+                assert _decode_profile(n, mid.bits, radius) == expected
+            if n == 9:  # no third codeword is as close: the tie goes to the smaller symbol
+                assert decode_block(mid) == min(alpha, beta)
+
+
+def test_decode_profile_cache_is_bounded():
+    assert _decode_profile.cache_info().maxsize is not None
 
 
 # ---------------------------------------------------------------------------
