@@ -99,14 +99,9 @@ def _profile_rows(path) -> list[list[int]]:
     return [list(row) for row in hadamard.distance_profile(path)]
 
 
-# Largest n for codeword-path commands: the (2^(n-1) + 1) x 2^n int32
-# path-distance matrix stays within 2049 x 4096 (32 MiB).
-PATH_MAX_N = 12
-
-
 def _check_path_n(n: int) -> None:
-    if not 2 <= n <= PATH_MAX_N:
-        raise InstanceError(f"--n must be in 2..{PATH_MAX_N}, got {n}")
+    if not 2 <= n <= hadamard.MAX_N:
+        raise InstanceError(f"--n must be in 2..{hadamard.MAX_N}, got {n}")
 
 
 def _cmd_hadamard_path(args) -> int:

@@ -22,8 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .constants import DEFAULT_BUDGET, DEFAULT_SEED
 from .core import (
+    AcceptSet,
     Assignment,
     ConstraintGraph,
     InstanceError,
@@ -174,27 +177,16 @@ def superimpose(
     overrides = dict(g1.vertex_alphabets)
     overrides.update(g2.vertex_alphabets)
 
-    def size(graph: ConstraintGraph, v: str) -> int:
-        return graph.alphabet_of(v)
-
+    tables1 = [_pair_table(g1, e, acc) for e, acc in zip(g1.edges, g1.accepts)]
+    tables2 = [_pair_table(g2, e, acc) for e, acc in zip(g2.edges, g2.accepts)]
     edges = []
     accepts = []
     pairs = []
     for i1, e1 in enumerate(g1.edges):
         for i2, e2 in enumerate(g2.edges):
-            hyper = (e1[0], e1[1], e2[0], e2[1])
-            acc1, acc2 = g1.accepts[i1], g2.accepts[i2]
-            sizes = (size(g1, e1[0]), size(g1, e1[1]), size(g2, e2[0]), size(g2, e2[1]))
-            tuples = frozenset(
-                (a1, b1, a2, b2)
-                for a1 in range(sizes[0])
-                for b1 in range(sizes[1])
-                for a2 in range(sizes[2])
-                for b2 in range(sizes[3])
-                if (a1, b1) in acc1 or (a2, b2) in acc2
-            )
-            edges.append(hyper)
-            accepts.append(tuples)
+            edges.append((e1[0], e1[1], e2[0], e2[1]))
+            # argwhere lists the accepted (a1, b1, a2, b2) in lexicographic order
+            accepts.append(np.argwhere(tables1[i1][:, :, None, None] | tables2[i2]))
             pairs.append((i1, i2))
     graph = ConstraintGraph(
         q=4,
@@ -213,6 +205,14 @@ def superimpose(
         trace.vertex_origin[v] = {"kind": "aux", "twin": 2}
     trace.hyperedge_origin = [{"twin_pair": list(p)} for p in pairs]
     return SuperimposedGraph(graph, twin1, twin2, tuple(pairs), trace)
+
+
+def _pair_table(graph: ConstraintGraph, edge: tuple[str, str], accepts) -> np.ndarray:
+    """Boolean table over a binary edge's value pairs, true where accepted."""
+    table = np.zeros([graph.alphabet_of(v) for v in edge], dtype=bool)
+    for a, b in accepts:
+        table[a, b] = True
+    return table
 
 
 def pad_edge_groups(groups: list[list], mark=lambda item: item) -> list[list]:
@@ -478,7 +478,7 @@ class ArityReduction:
     cells: tuple[CellInfo, ...]
 
 
-def _valid_cell_symbols(cell: CellInfo, accepts: frozenset) -> list[int]:
+def _valid_cell_symbols(cell: CellInfo, accepts: AcceptSet) -> list[int]:
     """All valid cell values, enumerated over one pair choice per distinct vertex.
 
     A cell value is valid when its pairs agree on repeated vertices and every
@@ -544,6 +544,25 @@ def _valid_cell_symbols(cell: CellInfo, accepts: frozenset) -> list[int]:
     return sorted(out)
 
 
+def _cell_edge_rows(
+    valid: np.ndarray, stride: int, pairs: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    """Accepted (cell value, endpoint value) rows of one cell-to-coordinate edge.
+
+    Cell value `sym` holds pair (sym // stride) % len(pairs) at the
+    coordinate and is accepted with either value of that pair.  With `valid`
+    ascending and each pair (a, b) having a <= b, the rows (sym, a) then, if
+    b differs, (sym, b) come out in lexicographic order.
+    """
+    lo, hi = np.array(pairs, dtype=np.int64).T
+    index = (valid // stride) % len(pairs)
+    a, b = lo[index], hi[index]
+    rows = np.stack([valid, a, valid, b], axis=1).reshape(-1, 2)
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1::2] = a != b
+    return rows[keep]
+
+
 # Largest coordinate-value product space held as one accepted-tuple bitmask.
 _MASK_COORDINATES = 1 << 20
 
@@ -571,7 +590,7 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
     existing = set(graph.vertices)
     cells = []
     new_edges: list[tuple[str, str]] = []
-    new_accepts: list[frozenset] = []
+    new_accepts: list[np.ndarray] = []
     overrides = dict(graph.vertex_alphabets)
     trace = ReductionTrace(stage="arity-reduce", notes={"soundness_loss_factor": 4})
     for v in graph.vertices:
@@ -604,15 +623,13 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
     for j, edge in enumerate(graph.edges):
         cell = cells[j]
         trace.vertex_origin[cell.name] = {"kind": "cell", "hyperedge": j}
-        valid = _valid_cell_symbols(cell, graph.accepts[j])
-        decoded = [(sym, cell.decode(sym)) for sym in valid]
-        for i, v in enumerate(edge):
-            accept = frozenset(
-                (sym, x) for sym, pairs in decoded for x in set(pairs[i])
-            )
+        valid = np.array(_valid_cell_symbols(cell, graph.accepts[j]), dtype=np.int64)
+        stride = 1
+        for i, (v, pl) in enumerate(zip(edge, cell.pair_lists)):
             new_edges.append((cell.name, v))
-            new_accepts.append(accept)
+            new_accepts.append(_cell_edge_rows(valid, stride, pl))
             trace.hyperedge_origin.append({"hyperedge": j, "coordinate": i})
+            stride *= len(pl)
     for cell in cells:
         overrides[cell.name] = cell.alphabet
     binary_graph = ConstraintGraph(

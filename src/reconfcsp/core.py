@@ -1,22 +1,249 @@
 """Constraint graphs, assignments, reconfiguration sequences, and exact values.
 
 Symbols are integers in `range(alphabet)`; vertex ids are opaque strings and
-all declared orders (vertices, hyperedges, accepted tuples) are preserved by
-the serializer.  Values are exact integer pairs; comparisons never touch
-floating point.
+the declared orders of vertices and hyperedges are preserved by the
+serializer, which lists each hyperedge's accepted tuples in lexicographic
+order.  Values are exact integer pairs; comparisons never touch floating
+point.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class InstanceError(ValueError):
     """A malformed instance, assignment, or sequence."""
+
+
+# Accept codes are int64, so no coordinate space may hold more codes than this.
+_CODE_SPACE_LIMIT = 1 << 63
+
+
+def _code_space(sizes: tuple[int, ...]) -> int:
+    """Number of tuples over `sizes`; refused before any allocation if codes overflow int64."""
+    space = math.prod(sizes)
+    if space > _CODE_SPACE_LIMIT:
+        raise InstanceError(f"accept: coordinate space {space} does not fit in int64 codes")
+    return space
+
+
+class AcceptSet:
+    """An immutable set of accepted tuples over fixed coordinate alphabets.
+
+    The tuple (t1, ..., tq) over alphabet sizes (s1, ..., sq) has the
+    big-endian mixed-radix code ((t1*s2 + t2)*s3 + t3)*... + tq, so ascending
+    codes are the tuples in lexicographic order.  `codes` is the read-only,
+    strictly increasing int64 array of those codes and `sizes` the alphabets
+    they were encoded against.  This class is the only place that layout is
+    known: elsewhere a set is built from tuples (any iterable of them, or a
+    2-D integer array of rows), from codes with `from_codes`, or from
+    another set, and read by `len`, `in`, `==` and iteration, which yields
+    the tuples in sorted order.  A set handed alphabets other than its own
+    is re-encoded and range-checked tuple by tuple, never reinterpreted.
+
+    A set built from Python tuples keeps the int frozenset its encoding made,
+    answers `in` from it and decodes it in Python; an array-built set
+    answers `in` by binary search and decodes with numpy, so a few lookups
+    never build a set over a large one.
+    """
+
+    __slots__ = ("_sizes", "_codes", "_members")
+
+    def __new__(cls, tuples: Iterable[Sequence[int]], sizes: Sequence[int]) -> "AcceptSet":
+        sizes = tuple(sizes)
+        if any(type(s) is not int or s < 1 for s in sizes):
+            raise InstanceError(f"accept: alphabet sizes must be positive integers, got {sizes}")
+        return _pack(tuples, sizes, None)
+
+    @classmethod
+    def from_codes(cls, codes, sizes: Sequence[int]) -> "AcceptSet":
+        """The set whose codes over `sizes` are `codes`, checked in one vectorized pass."""
+        sizes = tuple(sizes)
+        space = _code_space(sizes)
+        codes = np.asarray(codes)
+        if codes.ndim != 1:
+            raise InstanceError(f"accept: codes must be a 1-D array, got {codes.ndim}-D")
+        if codes.dtype.kind not in "iu":
+            raise InstanceError(f"accept: codes must be integers, got dtype {codes.dtype}")
+        if len(codes):
+            if not (codes[1:] > codes[:-1]).all():
+                raise InstanceError("accept: codes must be strictly increasing")
+            if codes[0] < 0 or codes[-1] > space - 1:
+                bad = codes[0] if codes[0] < 0 else codes[-1]
+                raise InstanceError(f"accept: code {bad} outside [0, {space})")
+        return _make(sizes, codes=np.array(codes, dtype=np.int64))
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return self._sizes
+
+    @property
+    def codes(self) -> np.ndarray:
+        if self._codes is None:
+            codes = np.array(sorted(self._members), dtype=np.int64)
+            codes.flags.writeable = False
+            self._codes = codes
+        return self._codes
+
+    def __len__(self) -> int:
+        return len(self._members) if self._members is not None else len(self._codes)
+
+    def __contains__(self, tup) -> bool:
+        return len(tup) == len(self._sizes) and self._accepts(tup)
+
+    def _accepts(self, symbols: Iterable[int]) -> bool:
+        """Whether `symbols`, one per coordinate, form an accepted tuple."""
+        code = 0
+        for sym, size in zip(symbols, self._sizes):
+            if not 0 <= sym < size:
+                return False
+            code = code * size + sym
+        if self._members is not None:
+            return code in self._members
+        at = self._codes.searchsorted(code)
+        return bool(at < len(self._codes) and self._codes[at] == code)
+
+    def _rows(self) -> np.ndarray:
+        """The tuples as a (count, q) int64 array, in lexicographic order."""
+        codes = self.codes
+        rows = np.empty((len(codes), len(self._sizes)), dtype=np.int64)
+        for coord in reversed(range(len(self._sizes))):
+            codes, rows[:, coord] = np.divmod(codes, self._sizes[coord])
+        return rows
+
+    def __iter__(self):
+        if self._members is None:
+            return map(tuple, self._rows().tolist())
+        codes = sorted(self._members)
+        if len(self._sizes) == 2:
+            # a binary code is |S_2| * t1 + t2
+            return map(divmod, codes, repeat(self._sizes[1]))
+        if not codes:
+            return iter(())
+        columns = []
+        for size in reversed(self._sizes[1:]):
+            codes, column = zip(*map(divmod, codes, repeat(size)))
+            columns.append(column)
+        return zip(codes, *reversed(columns))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AcceptSet):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        if self._sizes == other._sizes:
+            if self._members is not None and other._members is not None:
+                return self._members == other._members
+            return bool(np.array_equal(self.codes, other.codes))
+        return len(self) == 0 or bool(np.array_equal(self._rows(), other._rows()))
+
+    def __repr__(self) -> str:
+        return f"AcceptSet({len(self)} tuples over alphabets {self._sizes})"
+
+
+def _make(sizes: tuple[int, ...], codes=None, members=None) -> AcceptSet:
+    acc = object.__new__(AcceptSet)
+    acc._sizes, acc._codes, acc._members = sizes, codes, members
+    if codes is not None:
+        codes.flags.writeable = False
+    return acc
+
+
+def _pack(tuples, sizes: tuple[int, ...], names) -> AcceptSet:
+    """`tuples` as an AcceptSet over `sizes`; errors name `accept[t]` and, given, vertex `names`."""
+    _code_space(sizes)
+    if type(tuples) not in _TUPLE_COLLECTIONS:
+        if isinstance(tuples, AcceptSet):
+            if tuples.sizes == sizes:
+                return tuples
+            tuples = tuples._rows()
+        if isinstance(tuples, np.ndarray):
+            return _pack_rows(tuples, sizes, names)
+        tuples = list(tuples)
+    codes = _encode(tuples, sizes)
+    if codes is None:
+        raise _tuple_error(tuples, sizes, names)
+    return _make(sizes, members=frozenset(codes))
+
+
+# Containers of tuples that `_pack` reads twice (to encode, then to name an error).
+_TUPLE_COLLECTIONS = (frozenset, set, list, tuple)
+
+
+def _encode(rows, sizes: tuple[int, ...]) -> list[int] | None:
+    """Codes of `rows`, or None unless every row is a tuple of in-range integers."""
+    q = len(sizes)
+    codes = []
+    try:
+        for tup in rows:
+            if len(tup) != q:
+                return None
+            code = 0
+            for sym, size in zip(tup, sizes):
+                if not 0 <= sym < size:
+                    return None
+                code = code * size + sym
+            codes.append(code)
+        if set(map(type, codes)) - {int}:
+            codes = list(map(operator.index, codes))
+    except TypeError:
+        return None
+    return codes
+
+
+def _out_of_range(t: int, sym, coord: int, size: int, names) -> InstanceError:
+    where = f"vertex {names[coord]!r}" if names is not None else f"coordinate {coord}"
+    return InstanceError(f"accept[{t}]: symbol {sym} out of range for {where} (alphabet {size})")
+
+
+def _tuple_error(rows, sizes: tuple[int, ...], names) -> InstanceError:
+    """The error for the first bad tuple, counted in sorted order when the tuples sort."""
+    try:
+        rows = sorted(rows)
+    except TypeError:
+        rows = list(rows)
+    for t, tup in enumerate(rows):
+        if not isinstance(tup, (tuple, list, np.ndarray)):
+            return InstanceError(f"accept[{t}]: expected a tuple of symbols, got {tup!r:.40}")
+        if len(tup) != len(sizes):
+            return InstanceError(f"accept[{t}]: arity mismatch")
+        for coord, (sym, size) in enumerate(zip(tup, sizes)):
+            if not isinstance(sym, (int, np.integer)):
+                return InstanceError(f"accept[{t}]: symbol {sym!r:.40} is not an integer")
+            if not 0 <= sym < size:
+                return _out_of_range(t, sym, coord, size, names)
+    return InstanceError("accept: malformed accepted tuples")
+
+
+def _pack_rows(rows: np.ndarray, sizes: tuple[int, ...], names) -> AcceptSet:
+    """A (count, q) integer array of tuples, range-checked and encoded in vectorized passes."""
+    if rows.ndim != 2 or rows.shape[1] != len(sizes):
+        raise _tuple_error(rows.tolist(), sizes, names)
+    if rows.dtype.kind not in "iu":
+        raise InstanceError(f"accept: symbols must be integers, got dtype {rows.dtype}")
+    bad = rows < 0
+    for coord, size in enumerate(sizes):
+        bad[:, coord] |= rows[:, coord] >= size
+    if bad.any():
+        t, coord = (int(i) for i in np.argwhere(bad)[0])
+        raise _out_of_range(t, rows[t, coord], coord, sizes[coord], names)
+    rows = rows.astype(np.int64, copy=False)
+    codes = np.zeros(len(rows), dtype=np.int64)
+    for coord, size in enumerate(sizes):
+        codes = codes * size + rows[:, coord]
+    if len(codes) and not (codes[1:] > codes[:-1]).all():
+        codes = np.unique(codes)
+    return _make(sizes, codes=codes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,13 +297,17 @@ class ConstraintGraph:
     per-vertex alphabet override supports mixed alphabets produced by the
     assignment-tester composition; vertices without an override use the
     graph-wide `alphabet`.
+
+    Each `accepts[j]` may be given as an `AcceptSet` or as any iterable of
+    tuples; the graph stores it as an `AcceptSet` over the hyperedge's
+    coordinate alphabets, re-encoding a set built over other alphabets.
     """
 
     q: int
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, ...], ...]
     alphabet: int
-    accepts: tuple[frozenset[tuple[int, ...]], ...]
+    accepts: tuple[AcceptSet, ...]
     vertex_alphabets: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -94,22 +325,19 @@ class ConstraintGraph:
                 raise InstanceError(f"alphabet override for unknown vertex id {name!r}")
             if size < 1:
                 raise InstanceError(f"alphabet override for {name!r} must be positive")
+        packed = []
         for i, edge in enumerate(self.edges):
             if len(edge) != self.q:
                 raise InstanceError(f"edges[{i}]: arity mismatch (got {len(edge)}, declared {self.q})")
             for v in edge:
                 if v not in known:
                     raise InstanceError(f"edges[{i}]: unknown vertex id {v!r}")
-            sizes = [self.alphabet_of(v) for v in edge]
-            for t, tup in enumerate(sorted(self.accepts[i])):
-                if len(tup) != self.q:
-                    raise InstanceError(f"edges[{i}].accept[{t}]: arity mismatch")
-                for coord, (sym, size) in enumerate(zip(tup, sizes)):
-                    if not 0 <= sym < size:
-                        raise InstanceError(
-                            f"edges[{i}].accept[{t}]: symbol {sym} out of range "
-                            f"for vertex {edge[coord]!r} (alphabet {size})"
-                        )
+            sizes = tuple([self.alphabet_of(v) for v in edge])
+            try:
+                packed.append(_pack(self.accepts[i], sizes, edge))
+            except InstanceError as exc:
+                raise InstanceError(f"edges[{i}].{exc}") from None
+        object.__setattr__(self, "accepts", tuple(packed))
 
     def alphabet_of(self, vertex: str) -> int:
         return self.vertex_alphabets.get(vertex, self.alphabet)
@@ -119,8 +347,7 @@ class ConstraintGraph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     def edge_satisfied(self, edge_index: int, psi: "Assignment") -> bool:
-        edge = self.edges[edge_index]
-        return tuple(psi.values[v] for v in edge) in self.accepts[edge_index]
+        return self.accepts[edge_index]._accepts(map(psi.values.__getitem__, self.edges[edge_index]))
 
 
 @dataclass(frozen=True)
@@ -185,7 +412,10 @@ def value(graph: ConstraintGraph, psi: Assignment) -> Value:
     if not graph.edges:
         raise InstanceError("no constraints: graph has an empty hyperedge list")
     check_total(graph, psi)
-    satisfied = sum(1 for i in range(len(graph.edges)) if graph.edge_satisfied(i, psi))
+    symbol = psi.values.__getitem__
+    satisfied = sum(
+        acc._accepts(map(symbol, edge)) for edge, acc in zip(graph.edges, graph.accepts)
+    )
     return Value(satisfied, len(graph.edges))
 
 
@@ -234,7 +464,7 @@ def graph_to_obj(graph: ConstraintGraph) -> dict:
         "alphabet": graph.alphabet,
         "vertices": vertices,
         "edges": [
-            {"vertices": list(edge), "accept": [list(t) for t in sorted(acc)]}
+            {"vertices": list(edge), "accept": acc._rows().tolist()}
             for edge, acc in zip(graph.edges, graph.accepts)
         ],
     }
@@ -248,38 +478,68 @@ def serialize(instance: ReconfInstance) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _require(obj: dict, key: str, where: str):
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _require(obj: dict, key: str, where: str, kind: type | None = None):
+    """`obj[key]`, present and, given `kind`, of exactly that JSON type (so no bools for ints)."""
     if key not in obj:
         hint = "missing endpoint" if key in ("psi_ini", "psi_tar") else f"missing field {key!r}"
         raise InstanceError(f"{where}: {hint}")
-    return obj[key]
+    found = obj[key]
+    if kind is not None and type(found) is not kind:
+        raise InstanceError(f"{where}.{key}: expected {_JSON_KINDS[kind]}, got {found!r:.40}")
+    return found
+
+
+def _accept_rows(rows: list, q: int, where: str):
+    """A JSON accept list as a (count, q) int64 array made by one np.array call.
+
+    Types are checked first, because the conversion would silently turn
+    0.5 or true into an integer.  Rows of the wrong length, or symbols
+    beyond int64, are handed on as lists for the graph to name.
+    """
+    if set(map(type, rows)) - {list}:
+        t = next(t for t, row in enumerate(rows) if type(row) is not list)
+        raise InstanceError(f"{where}[{t}]: expected a list, got {rows[t]!r:.40}")
+    symbols = list(chain.from_iterable(rows))
+    if set(map(type, symbols)) - {int}:
+        t, sym = next((t, s) for t, row in enumerate(rows) for s in row if type(s) is not int)
+        raise InstanceError(f"{where}[{t}]: symbol {sym!r:.40} is not an integer")
+    if set(map(len, rows)) - {q}:
+        return rows
+    try:
+        return np.array(symbols, dtype=np.int64).reshape(len(rows), q)
+    except OverflowError:
+        return rows
 
 
 def graph_from_obj(obj: dict, where: str = "instance") -> ConstraintGraph:
-    q = _require(obj, "arity", where)
-    alphabet = _require(obj, "alphabet", where)
-    raw_vertices = _require(obj, "vertices", where)
+    q = _require(obj, "arity", where, int)
+    alphabet = _require(obj, "alphabet", where, int)
     names: list[str] = []
     overrides: dict[str, int] = {}
-    for i, entry in enumerate(raw_vertices):
-        if isinstance(entry, str):
+    for i, entry in enumerate(_require(obj, "vertices", where, list)):
+        if type(entry) is str:
             names.append(entry)
-        elif isinstance(entry, dict):
-            name = _require(entry, "name", f"{where}.vertices[{i}]")
+        elif type(entry) is dict:
+            name = _require(entry, "name", f"{where}.vertices[{i}]", str)
             names.append(name)
             if "alphabet" in entry:
-                overrides[name] = entry["alphabet"]
+                overrides[name] = _require(entry, "alphabet", f"{where}.vertices[{i}]", int)
         else:
             raise InstanceError(f"{where}.vertices[{i}]: malformed field")
     edges: list[tuple[str, ...]] = []
-    accepts: list[frozenset[tuple[int, ...]]] = []
-    for i, entry in enumerate(_require(obj, "edges", where)):
-        if not isinstance(entry, dict):
-            raise InstanceError(f"{where}.edges[{i}]: malformed field")
-        edge = tuple(_require(entry, "vertices", f"{where}.edges[{i}]"))
-        tuples = _require(entry, "accept", f"{where}.edges[{i}]")
+    accepts = []
+    for i, entry in enumerate(_require(obj, "edges", where, list)):
+        path = f"{where}.edges[{i}]"
+        if type(entry) is not dict:
+            raise InstanceError(f"{path}: malformed field")
+        edge = tuple(_require(entry, "vertices", path, list))
+        if set(map(type, edge)) - {str}:
+            raise InstanceError(f"{path}.vertices: vertex ids must be strings")
         edges.append(edge)
-        accepts.append(frozenset(tuple(t) for t in tuples))
+        accepts.append(_accept_rows(_require(entry, "accept", path, list), q, f"{path}.accept"))
     try:
         return ConstraintGraph(
             q=q,
@@ -293,11 +553,17 @@ def graph_from_obj(obj: dict, where: str = "instance") -> ConstraintGraph:
         raise InstanceError(f"{where}: {exc}") from exc
 
 
+def _assignment(raw, where: str) -> Assignment:
+    if type(raw) is not dict:
+        raise InstanceError(f"{where}: malformed field")
+    for v, sym in raw.items():
+        if type(sym) is not int:
+            raise InstanceError(f"{where}.{v}: symbol {sym!r:.40} is not an integer")
+    return Assignment(dict(raw))
+
+
 def _assignment_from_obj(obj: dict, key: str, graph: ConstraintGraph, where: str) -> Assignment:
-    raw = _require(obj, key, where)
-    if not isinstance(raw, dict):
-        raise InstanceError(f"{where}.{key}: malformed field")
-    psi = Assignment({str(v): int(s) for v, s in raw.items()})
+    psi = _assignment(_require(obj, key, where), f"{where}.{key}")
     check_total(graph, psi, where=f"{where}.{key}")
     return psi
 
@@ -320,10 +586,11 @@ def sequence_to_obj(seq: ReconfigSequence, order: Sequence[str]) -> dict:
 
 
 def sequence_from_obj(obj: dict, graph: ConstraintGraph) -> ReconfigSequence:
-    steps_raw = _require(obj, "steps", "sequence")
+    if type(obj) is not dict:
+        raise InstanceError("sequence: malformed field (top level must be an object)")
     steps = []
-    for i, raw in enumerate(steps_raw):
-        psi = Assignment({str(v): int(s) for v, s in raw.items()})
+    for i, raw in enumerate(_require(obj, "steps", "sequence", list)):
+        psi = _assignment(raw, f"sequence.steps[{i}]")
         check_total(graph, psi, where=f"sequence.steps[{i}]")
         steps.append(psi)
     return ReconfigSequence(tuple(steps))

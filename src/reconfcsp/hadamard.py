@@ -62,17 +62,20 @@ class BitFunction:
         return cls(n, int(text, 16))
 
 
+# Largest block exponent any command or reader accepts: a codeword-path
+# distance matrix at n = 12 is (2^11 + 1) x 2^12 int32 (32 MiB), and the
+# codeword table is 2^12 blocks of 4096 bits.
+MAX_N = 12
+
+
 @lru_cache(maxsize=None)
 def codeword_table(n: int) -> tuple[int, ...]:
     """All 2^n codewords as raw bit blocks, indexed by the encoded vector."""
-    table = []
-    for alpha in range(1 << n):
-        bits = 0
-        for x in range(1 << n):
-            if (alpha & x).bit_count() & 1:
-                bits |= 1 << x
-        table.append(bits)
-    return tuple(table)
+    x = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    parity = np.bitwise_count(x[:, None] & x)
+    parity &= 1
+    rows = np.packbits(parity, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
 
 @lru_cache(maxsize=None)

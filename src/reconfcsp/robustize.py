@@ -33,6 +33,7 @@ from .core import (
     value,
 )
 from .hadamard import (
+    MAX_N,
     BitFunction,
     codeword_distances,
     disagreement_set,
@@ -135,6 +136,10 @@ def pad_alphabet(instance: ReconfInstance) -> tuple[ReconfInstance, int]:
     if graph.vertex_alphabets:
         raise InstanceError("robustization requires one uniform source alphabet")
     n = max(2, (graph.alphabet - 1).bit_length())
+    if n > MAX_N:
+        raise InstanceError(
+            f"alphabet {graph.alphabet} pads to n={n}; robustization supports n <= {MAX_N}"
+        )
     if graph.alphabet == (1 << n):
         return instance, n
     padded = ConstraintGraph(
@@ -162,7 +167,7 @@ def robustize(instance: ReconfInstance, weakened: bool = False) -> CircuitSystem
             edge_index=i,
             v=edge[0],
             w=edge[1],
-            pairs=frozenset((a, b) for a, b in graph.accepts[i]),
+            pairs=frozenset(graph.accepts[i]),
             n=n,
             weakened=weakened,
         )
@@ -507,8 +512,8 @@ def read_system(directory: str | Path) -> CircuitSystem:
     obj = json.loads(source.read_text())
     try:
         n = obj["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-            raise ValueError(f'"n" must be an integer >= 2, got {n!r}')
+        if type(n) is not int or not 2 <= n <= MAX_N:
+            raise ValueError(f'"n" must be an integer in 2..{MAX_N}, got {n!r:.40}')
         weakened = obj.get("weakened", False)
         vertices = tuple(obj["vertices"])
         edges = tuple(tuple(e["vertices"]) for e in obj["edges"])

@@ -59,7 +59,9 @@ class _Space:
             acc *= size
         index = graph.vertex_index
         self.edge_coords = [tuple(index[v] for v in edge) for edge in graph.edges]
-        self.accepts = list(graph.accepts)
+        # one tuple set per edge for the whole search: hashing a tuple is the
+        # cheapest membership test in this hot loop
+        self.accepts = [frozenset(acc) for acc in graph.accepts]
         self.incidence: list[list[int]] = [[] for _ in self.vertices]
         for j, coords in enumerate(self.edge_coords):
             for i in set(coords):
@@ -216,10 +218,11 @@ def dfs_maxmin(instance: ReconfInstance, limit: int = 4096) -> Value:
         )
     names = list(graph.vertices)
     sizes = {v: graph.alphabet_of(v) for v in names}
+    accepted = [set(acc) for acc in graph.accepts]
 
     def count_satisfied(assign: dict[str, int]) -> int:
         hit = 0
-        for edge, acc in zip(graph.edges, graph.accepts):
+        for edge, acc in zip(graph.edges, accepted):
             if tuple(assign[v] for v in edge) in acc:
                 hit += 1
         return hit
@@ -340,7 +343,7 @@ def generate_instance(
                 tuples = {
                     (rng.randrange(alphabet), rng.randrange(alphabet)) for _ in range(count)
                 }
-                accepts.append(frozenset(tuples))
+                accepts.append(tuples)
             graph = ConstraintGraph(
                 q=2,
                 vertices=tuple(names),
@@ -373,7 +376,7 @@ def generate_instance(
             vertices=tuple(names),
             edges=tuple(edges),
             alphabet=alphabet,
-            accepts=tuple(frozenset(p) for p in pair_sets),
+            accepts=tuple(pair_sets),
         )
         instance = ReconfInstance(graph, walk[0], walk[-1])
         seq = ReconfigSequence(tuple(walk))

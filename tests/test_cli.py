@@ -161,6 +161,8 @@ _MALFORMED = {
     "step-missing-vertex": "step 1: missing vertex 'w'",
     "no-steps": 'expected an object with a "steps" list',
     "system-without-n": "system.json: missing key 'n'",
+    # a 2^24-bit block would build a 2^48-position codeword table
+    "system-n-too-big": 'system.json: "n" must be an integer in 2..12, got 24',
 }
 
 
@@ -184,6 +186,11 @@ def test_malformed_sigma_and_system_files_exit_2(tmp_path, capsys, case):
         del obj["n"]
         (sys_dir / "system.json").write_text(json.dumps(obj))
         argv = ["compose", "--system", sys_dir, "--out", tmp_path / "composed"]
+    elif case == "system-n-too-big":
+        obj = json.loads((sys_dir / "system.json").read_text())
+        obj["n"] = 24
+        (sys_dir / "system.json").write_text(json.dumps(obj))
+        argv = ["verify-sequence", "--system", sys_dir, "--sigma", _sigma_file(tmp_path, {"steps": [good]})]
     else:
         sigma = {"steps": steps[case]} if case in steps else {"stairs": [good]}
         argv = ["verify-sequence", "--system", sys_dir, "--sigma", _sigma_file(tmp_path, sigma)]
@@ -191,8 +198,56 @@ def test_malformed_sigma_and_system_files_exit_2(tmp_path, capsys, case):
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and _MALFORMED[case] in err and "Traceback" not in err
-    if case != "system-without-n":
+    if not case.startswith("system-"):
         assert "sigma.json" in err
+
+
+def _tweak_accept_row(obj, row):
+    obj["edges"][0]["accept"][0] = row
+
+
+_INSTANCE_PROBES = {
+    "psi-tar-float-symbol": lambda obj: obj["psi_tar"].update(b=obj["psi_tar"]["b"] + 0.7),
+    "accept-float-symbol": lambda obj: _tweak_accept_row(obj, [0.5, 0]),
+    "accept-bool-symbol": lambda obj: _tweak_accept_row(obj, [True, 0]),
+    "arity-float": lambda obj: obj.update(arity=2.0),
+    "alphabet-string": lambda obj: obj.update(alphabet="2"),
+    "edges-not-list": lambda obj: obj.update(edges=5),
+    "accept-not-list": lambda obj: obj["edges"][0].update(accept=3),
+}
+
+
+@pytest.mark.parametrize("case", list(_INSTANCE_PROBES))
+def test_malformed_instance_json_exits_2(tmp_path, capsys, case):
+    obj = json.loads(core.serialize(triangle_equality()))
+    _INSTANCE_PROBES[case](obj)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    assert run("solve", "--instance", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance") and "Traceback" not in err
+
+
+# SHA-256 of `arity-reduce --out` and `--trace` for the lean seed-7 chain,
+# computed before accept sets were packed; the bytes must not change.
+_ARITY_REDUCE_SHA256 = {
+    "binary.json": "291a274ce785faf51260376ad7514cda1da43285abc9fb42fe49bd57c8a541d6",
+    "trace.json": "e18b3d1e1217980754d93e6dfe27a68fb60c92b09cec9cc842ac62c7a554ca43",
+}
+
+
+def test_arity_reduce_artifacts_are_pinned(tmp_path):
+    import hashlib
+
+    lean = tmp_path / "lean.json"
+    assert run("generate", "--kind", "path-graph", "--vertices", 2, "--alphabet", 4,
+               "--satisfiable", "--walk", 1, "--extra", 0, "--seed", 7, "--out", lean) == 0
+    assert run("robustize", "--instance", lean, "--out", tmp_path / "sys") == 0
+    assert run("compose", "--system", tmp_path / "sys", "--out", tmp_path / "composed") == 0
+    assert run("arity-reduce", "--instance", tmp_path / "composed" / "instance.json",
+               "--out", tmp_path / "binary.json", "--trace", tmp_path / "trace.json") == 0
+    for name, digest in _ARITY_REDUCE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_pipeline_micro_report(tmp_path):

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reconfcsp.compose import (
     arity_reduce,
@@ -237,6 +239,56 @@ def test_arity_reduce_shape_and_completeness():
     assert value(graph, reduction.instance.psi_ini) == 1
     assert value(graph, reduction.instance.psi_tar) == 1
     assert reduction.trace.notes["soundness_loss_factor"] == 4
+
+
+def _brute_force_binary_tuples(cell, accepts):
+    """Per coordinate, the accepted (cell value, value) tuples, straight from the definition.
+
+    A cell value is valid when its pairs agree on repeated vertices and every
+    choice of one value per distinct vertex from its pair is an accepted
+    tuple; it is accepted with coordinate i's vertex at either value of its
+    i-th pair.
+    """
+    valid = []
+    for sym in range(cell.alphabet):
+        pairs = cell.decode(sym)
+        by_vertex = {}
+        if any(by_vertex.setdefault(v, p) != p for v, p in zip(cell.vertices, pairs)):
+            continue
+        names = list(by_vertex)
+        choices = itertools.product(*(sorted(set(by_vertex[v])) for v in names))
+        if all(
+            tuple(choice[names.index(v)] for v in cell.vertices) in accepts
+            for choice in choices
+        ):
+            valid.append(sym)
+    return [
+        sorted({(sym, x) for sym in valid for x in cell.decode(sym)[i]})
+        for i in range(len(cell.vertices))
+    ]
+
+
+@st.composite
+def small_four_ary(draw):
+    alphabet = draw(st.sampled_from([2, 3]))
+    edge = draw(st.sampled_from([("p", "q", "r", "s"), ("u", "u", "w", "z")]))
+    vertices = tuple(dict.fromkeys(edge))
+    space = list(itertools.product(range(alphabet), repeat=4))
+    accepts = draw(st.sets(st.sampled_from(space), min_size=1, max_size=12))
+    start = draw(st.sampled_from(sorted(accepts)))
+    return _four_ary(accepts, start, start, vertices=vertices, alphabet=alphabet, edge=edge)
+
+
+@given(small_four_ary())
+@settings(max_examples=30, deadline=None)
+def test_arity_reduce_matches_brute_force_definition(inst):
+    reduction = arity_reduce(inst)
+    (cell,) = reduction.cells
+    expected = _brute_force_binary_tuples(cell, set(inst.graph.accepts[0]))
+    binary = reduction.instance.graph
+    assert binary.edges == tuple((cell.name, v) for v in cell.vertices)
+    for acc, tuples in zip(binary.accepts, expected):
+        assert list(acc) == tuples
 
 
 def test_arity_reduce_requires_arity_four():

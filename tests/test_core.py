@@ -1,11 +1,13 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from reconfcsp.core import (
+    AcceptSet,
     Assignment,
     ConstraintGraph,
     InstanceError,
@@ -154,6 +156,69 @@ def test_deserialize_unknown_vertex(triangle):
     obj["edges"][0]["vertices"] = ["a", "zzz"]
     with pytest.raises(InstanceError, match="unknown vertex"):
         deserialize(json.dumps(obj))
+
+
+# ---------------------------------------------------------------------------
+# Packed accept sets
+# ---------------------------------------------------------------------------
+
+PAIRS = [(0, 1), (2, 3), (1, 1), (3, 0)]
+
+
+def test_accept_set_tuple_and_code_built_agree():
+    from_tuples = AcceptSet(set(PAIRS), (4, 4))
+    # big-endian codes over (4, 4): (a, b) -> 4a + b
+    from_codes = AcceptSet.from_codes(np.array([1, 5, 11, 12]), (4, 4))
+    from_rows = AcceptSet(np.array(PAIRS[::-1] + PAIRS), (4, 4))
+    assert from_tuples == from_codes == from_rows
+    assert list(from_tuples) == list(from_codes) == sorted(PAIRS)
+    assert np.array_equal(from_tuples.codes, from_codes.codes)
+    assert len(from_tuples) == len(from_codes) == len(from_rows) == len(PAIRS)
+    for a, b in itertools.product(range(5), repeat=2):
+        assert ((a, b) in from_tuples) == ((a, b) in from_codes) == ((a, b) in PAIRS)
+    assert (0, 1, 0) not in from_codes and (-1, 1) not in from_tuples
+
+
+@pytest.mark.parametrize("codes, sizes, match", [
+    (np.array([5, 1]), (4, 4), "strictly increasing"),
+    (np.array([1, 1]), (4, 4), "strictly increasing"),
+    (np.array([-1, 3]), (4, 4), "outside"),
+    (np.array([3, 16]), (4, 4), "outside"),
+    (np.array([1.0, 2.0]), (4, 4), "integers"),
+    (np.array([[1, 2]]), (4, 4), "1-D"),
+    (np.array([1]), (1 << 16,) * 4, "does not fit in int64"),
+], ids=["unsorted", "duplicate", "negative", "beyond-space", "float", "2-d", "int64-overflow"])
+def test_accept_set_from_codes_rejects(codes, sizes, match):
+    with pytest.raises(InstanceError, match=match):
+        AcceptSet.from_codes(codes, sizes)
+
+
+def test_accept_set_codes_are_read_only():
+    for acc in (AcceptSet(PAIRS, (4, 4)), AcceptSet.from_codes([1, 5], (4, 4))):
+        with pytest.raises(ValueError):
+            acc.codes[0] = 2
+
+
+def test_graph_rebuilt_from_accepts_is_equal(triangle):
+    graph = triangle.graph
+    rebuilt = ConstraintGraph(graph.q, graph.vertices, graph.edges, graph.alphabet, graph.accepts)
+    assert rebuilt == graph
+    assert all(a is b for a, b in zip(rebuilt.accepts, graph.accepts))
+
+
+def test_accept_set_lifted_to_a_larger_alphabet_keeps_its_tuples():
+    small = single_edge({(2, 3)}, 4, (2, 3), (2, 3)).graph
+    assert list(small.accepts[0].codes) == [11]  # read over alphabet 512, 11 is (0, 11)
+    lifted = ConstraintGraph(2, small.vertices, small.edges, 512, small.accepts)
+    assert list(lifted.accepts[0]) == [(2, 3)]
+    assert (2, 3) in lifted.accepts[0] and (0, 11) not in lifted.accepts[0]
+    assert list(lifted.accepts[0].codes) == [2 * 512 + 3]
+
+
+def test_accept_set_shrunk_below_a_used_symbol_raises():
+    graph = single_edge({(0, 0), (2, 3)}, 4, (0, 0), (0, 0)).graph
+    with pytest.raises(InstanceError, match=r"edges\[0\]\.accept\[1\]: symbol 3 out of range"):
+        ConstraintGraph(2, graph.vertices, graph.edges, 3, graph.accepts)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,23 @@ def test_distance_profile_matches_direct_computation():
         assert dmin == direct
 
 
+def loop_codeword_table(n: int) -> tuple[int, ...]:
+    """The codewords by the definition, one parity at a time (the oracle)."""
+    table = []
+    for alpha in range(1 << n):
+        bits = 0
+        for x in range(1 << n):
+            if (alpha & x).bit_count() & 1:
+                bits |= 1 << x
+        table.append(bits)
+    return tuple(table)
+
+
+def test_codeword_table_matches_loop_oracle():
+    for n in range(2, 11):
+        assert codeword_table(n) == loop_codeword_table(n), n
+
+
 def test_linearity_exhaustive_small_n():
     for n in (2, 3, 4, 5, 6):
         table = codeword_table(n)
