@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 from fractions import Fraction
@@ -31,7 +30,7 @@ from .constants import (
     THEORETICAL,
 )
 from .core import InstanceError
-from .fileio import write_text_atomic
+from .fileio import read_json, write_json, write_text_atomic
 from .seeding import stream
 from .solver import generate_instance
 
@@ -72,8 +71,7 @@ def _cmd_generate(args) -> int:
     write_text_atomic(args.out, core.serialize(instance))
     print(f"instance: {args.out}")
     if walk is not None and args.path_out:
-        obj = core.sequence_to_obj(walk, instance.graph.vertices)
-        write_text_atomic(args.path_out, json.dumps(obj, indent=2) + "\n")
+        write_json(args.path_out, core.sequence_to_obj(walk, instance.graph.vertices))
         print(f"satisfying path: {args.path_out}")
     return 0
 
@@ -84,19 +82,22 @@ def _cmd_solve(args) -> int:
         ok, witness = solver.reachable_at_threshold(instance, args.threshold, budget=args.budget)
         print(f"reachable at threshold {args.threshold}: {ok}")
         if ok and args.witness_out:
-            obj = core.sequence_to_obj(witness, instance.graph.vertices)
-            write_text_atomic(args.witness_out, json.dumps(obj, indent=2) + "\n")
+            write_json(args.witness_out, core.sequence_to_obj(witness, instance.graph.vertices))
         return 0 if ok else 1
     result = solver.maxmin_value(instance, budget=args.budget)
     print(f"maxmin: {result.optimum}")
     if args.witness_out and result.witness is not None:
-        obj = core.sequence_to_obj(result.witness, instance.graph.vertices)
-        write_text_atomic(args.witness_out, json.dumps(obj, indent=2) + "\n")
+        write_json(args.witness_out, core.sequence_to_obj(result.witness, instance.graph.vertices))
     return 0
 
 
-def _profile_rows(path) -> list[list[int]]:
-    return [list(row) for row in hadamard.distance_profile(path)]
+def _profile_rows(path, out: str | None) -> list[list[int]]:
+    """The path's distance profile, also written as CSV to `out` when given."""
+    rows = [list(row) for row in hadamard.distance_profile(path)]
+    if out:
+        write_csv_atomic(out, ["step", "dist_alpha", "dist_beta", "min_dist_other"], rows)
+        print(f"profile: {out}")
+    return rows
 
 
 def _check_path_n(n: int) -> None:
@@ -117,12 +118,7 @@ def _cmd_hadamard_path(args) -> int:
     path = hadamard.generate_codeword_path(
         args.alpha, args.beta, args.n, args.seed, max_retries=args.retries
     )
-    rows = _profile_rows(path)
-    if args.out:
-        write_csv_atomic(
-            args.out, ["step", "dist_alpha", "dist_beta", "min_dist_other"], rows
-        )
-        print(f"profile: {args.out}")
+    _profile_rows(path, args.out)
     if args.verify:
         report = hadamard.verify_codeword_path(path)
         print(f"verification: {'pass' if report.ok else f'FAIL ({report.detail})'}")
@@ -194,9 +190,7 @@ def _cmd_compose(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_text_atomic(out / "instance.json", core.serialize(composed.instance))
-    write_text_atomic(
-        out / "trace.json", json.dumps(composed.trace.to_obj(), indent=2) + "\n"
-    )
+    write_json(out / "trace.json", composed.trace.to_obj())
     print(
         f"composed: {out} (vertices={len(composed.instance.graph.vertices)}, "
         f"hyperedges={len(composed.instance.graph.edges)})"
@@ -209,9 +203,7 @@ def _cmd_arity_reduce(args) -> int:
     reduction = compose_mod.arity_reduce(instance)
     write_text_atomic(args.out, core.serialize(reduction.instance))
     if args.trace:
-        write_text_atomic(
-            args.trace, json.dumps(reduction.trace.to_obj(), indent=2) + "\n"
-        )
+        write_json(args.trace, reduction.trace.to_obj())
     print(f"binary instance: {args.out}")
     return 0
 
@@ -241,8 +233,7 @@ def _cmd_pipeline(args) -> int:
     instance = core.deserialize(Path(args.instance).read_text())
     psi_seq = None
     if args.path:
-        obj = json.loads(Path(args.path).read_text())
-        psi_seq = core.sequence_from_obj(obj, instance.graph)
+        psi_seq = core.sequence_from_obj(read_json(args.path), instance.graph)
     result = compose_mod.full_pipeline(
         instance,
         mode=args.mode,
@@ -265,7 +256,7 @@ def _cmd_pipeline(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_text_atomic(out / "binary_instance.json", core.serialize(result.reduction.instance))
-        write_text_atomic(out / "trace.json", json.dumps(result.trace.to_obj(), indent=2) + "\n")
+        write_json(out / "trace.json", result.trace.to_obj())
         print(f"artifacts: {out}")
     if result.mode == "n9":
         verdict = "all circuits satisfied at every step" if result.n9_all_satisfied else "FAILED"
@@ -288,12 +279,7 @@ def _experiment_fig2(args) -> int:
     if beta >= alpha:
         beta += 1
     path = hadamard.generate_codeword_path(alpha, beta, args.n, args.seed)
-    rows = _profile_rows(path)
-    if args.out:
-        write_csv_atomic(
-            args.out, ["step", "dist_alpha", "dist_beta", "min_dist_other"], rows
-        )
-        print(f"profile: {args.out}")
+    rows = _profile_rows(path, args.out)
     length = 1 << args.n
     far = QUARTER + FARNESS_MARGIN
     ok = all(Fraction(row[3], length) > far for row in rows)
@@ -497,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, hadamard.PathGenerationError, OSError, json.JSONDecodeError) as exc:
+    except (InstanceError, hadamard.PathGenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

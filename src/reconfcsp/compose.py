@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -62,12 +62,7 @@ class ReductionTrace:
     notes: dict = field(default_factory=dict)
 
     def to_obj(self) -> dict:
-        return {
-            "stage": self.stage,
-            "vertex_origin": self.vertex_origin,
-            "hyperedge_origin": self.hyperedge_origin,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -682,23 +677,19 @@ def arity_reduce_sequence(
             continue
         (u,) = moved
         a, b = before.values[u], after.values[u]
-        widened = (min(a, b), max(a, b))
-        for cell in cells_by_vertex.get(u, []):
-            pairs = list(cell.decode(current[cell.name]))
-            for i, v in enumerate(cell.vertices):
-                if v == u:
-                    pairs[i] = widened
-            current[cell.name] = cell.encode(pairs)
-            steps.append(Assignment(dict(current)))
+
+        def set_pairs(pair: tuple[int, int]) -> None:
+            for cell in cells_by_vertex.get(u, []):
+                pairs = cell.decode(current[cell.name])
+                current[cell.name] = cell.encode(
+                    [pair if v == u else p for v, p in zip(cell.vertices, pairs)]
+                )
+                steps.append(Assignment(dict(current)))
+
+        set_pairs((min(a, b), max(a, b)))
         current[u] = b
         steps.append(Assignment(dict(current)))
-        for cell in cells_by_vertex.get(u, []):
-            pairs = list(cell.decode(current[cell.name]))
-            for i, v in enumerate(cell.vertices):
-                if v == u:
-                    pairs[i] = (b, b)
-            current[cell.name] = cell.encode(pairs)
-            steps.append(Assignment(dict(current)))
+        set_pairs((b, b))
     return ReconfigSequence(tuple(steps))
 
 
@@ -730,10 +721,6 @@ class PipelineResult:
     n9_all_satisfied: bool | None = None
 
 
-def _max_alphabet(graph: ConstraintGraph) -> int:
-    return max(graph.alphabet_of(v) for v in graph.vertices)
-
-
 # Largest state space given the full maxmin search in a stage report.
 SCAN_CAP = 4096
 
@@ -761,13 +748,14 @@ def stage_maxmin(
     return None, None
 
 
-def _report(name: str, instance: ReconfInstance, budget: int) -> StageReport:
-    maxmin, method = stage_maxmin(instance, budget, SCAN_CAP)
+def _report(name: str, instance: ReconfInstance, budget: int | None) -> StageReport:
+    """The stage's shape, plus its oracle value unless `budget` is None."""
+    maxmin, method = (None, None) if budget is None else stage_maxmin(instance, budget, SCAN_CAP)
     return StageReport(
         stage=name,
         vertices=len(instance.graph.vertices),
         edges=len(instance.graph.edges),
-        max_alphabet=_max_alphabet(instance.graph),
+        max_alphabet=max(map(instance.graph.alphabet_of, instance.graph.vertices)),
         maxmin=maxmin,
         method=method,
     )
@@ -847,16 +835,7 @@ def full_pipeline(
     # Looked up at call time: callers may replace robustize.completeness_sequence.
     from .robustize import completeness_sequence
 
-    stages = [
-        StageReport(
-            stage="source",
-            vertices=len(instance.graph.vertices),
-            edges=len(instance.graph.edges),
-            max_alphabet=_max_alphabet(instance.graph),
-            maxmin=None,
-            method=None,
-        )
-    ]
+    stages = [_report("source", instance, None)]
     with _stage("completeness"):
         sigma_seq = completeness_sequence(system, psi_seq, seed=seed)
     all_ok = all(

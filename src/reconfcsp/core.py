@@ -452,30 +452,52 @@ def sequence_value(graph: ConstraintGraph, seq: ReconfigSequence) -> Value:
 # ---------------------------------------------------------------------------
 
 
-def graph_to_obj(graph: ConstraintGraph) -> dict:
-    vertices: list[object] = []
-    for v in graph.vertices:
-        if v in graph.vertex_alphabets:
-            vertices.append({"name": v, "alphabet": graph.vertex_alphabets[v]})
-        else:
-            vertices.append(v)
-    return {
-        "arity": graph.q,
-        "alphabet": graph.alphabet,
-        "vertices": vertices,
-        "edges": [
-            {"vertices": list(edge), "accept": acc._rows().tolist()}
-            for edge, acc in zip(graph.edges, graph.accepts)
-        ],
-    }
-
-
 def serialize(instance: ReconfInstance) -> str:
-    obj = graph_to_obj(instance.graph)
-    order = instance.graph.vertices
-    obj["psi_ini"] = {v: instance.psi_ini.values[v] for v in order}
-    obj["psi_tar"] = {v: instance.psi_tar.values[v] for v in order}
-    return json.dumps(obj, indent=2) + "\n"
+    """The instance as `json.dumps(obj, indent=2) + "\n"` writes it, byte for byte.
+
+    `json.dumps` writes everything but the accept lists, each left as the
+    placeholder `"accept": []`, which no string can hold because `json.dumps`
+    escapes the quotes inside one.  The rows are spliced in from one string
+    per symbol that occurs (never one per alphabet symbol), gathered per
+    coordinate with the row's brackets and commas by fancy indexing.
+    """
+    graph, order, q = instance.graph, instance.graph.vertices, instance.graph.q
+    overrides = graph.vertex_alphabets
+    obj = {
+        "arity": q,
+        "alphabet": graph.alphabet,
+        "vertices": [{"name": v, "alphabet": overrides[v]} if v in overrides else v for v in order],
+        "edges": [{"vertices": list(edge), "accept": []} for edge in graph.edges],
+        "psi_ini": {v: instance.psi_ini.values[v] for v in order},
+        "psi_tar": {v: instance.psi_tar.values[v] for v in order},
+    }
+    head, *tails = json.dumps(obj, indent=2).split('"accept": []')
+    rows = np.concatenate([acc._rows() for acc in graph.accepts] + [np.empty((0, q), np.int64)])
+    top = int(rows.max(initial=-1)) + 1
+    if top > rows.size:
+        symbols, index = np.unique(rows, return_inverse=True)
+        index = index.reshape(rows.shape)
+    else:  # symbols below the entry count: mark them rather than sort
+        present = np.zeros(top, dtype=bool)
+        present[rows] = True
+        symbols, index = np.flatnonzero(present), (np.cumsum(present) - 1)[rows]
+    cells = np.empty(rows.shape, dtype=object)
+    for c in range(q):
+        opening, closing = "\n        [" if c == 0 else ",", "\n        ]," if c == q - 1 else ""
+        table = [f"{opening}\n          {s}{closing}" for s in symbols.tolist()]
+        cells[:, c] = np.array(table, dtype=object)[index[:, c]]
+    tokens = cells.ravel().tolist()
+    parts, start = [head], 0
+    for acc, tail in zip(graph.accepts, tails):
+        stop = start + len(acc) * q
+        if stop > start:
+            tokens[stop - 1] = tokens[stop - 1][:-1]  # no comma after an edge's last row
+            parts += ['"accept": [', *tokens[start:stop], "\n      ]", tail]
+        else:
+            parts += ['"accept": []', tail]
+        start = stop
+    parts.append("\n")
+    return "".join(parts)
 
 
 _JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}

@@ -1,10 +1,13 @@
-"""Atomic text output shared by the library writers and the CLI."""
+"""JSON and atomic text file I/O shared by the library readers, writers and the CLI."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from pathlib import Path
+
+from .core import InstanceError
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -20,3 +23,15 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path: str | Path, obj) -> None:
+    write_text_atomic(path, json.dumps(obj, indent=2) + "\n")
+
+
+def read_json(path: str | Path):
+    """The parsed file; malformed JSON raises InstanceError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"{path}: malformed JSON ({exc})") from None

@@ -11,7 +11,6 @@ n <= 3.
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import FARNESS_MARGIN, MIN_SOUND_N, clause_two_radius, quarter_radius
-from .fileio import write_text_atomic
+from .fileio import read_json, write_json
 from .core import (
     Assignment,
     ConstraintGraph,
@@ -486,7 +485,7 @@ def blocks_from_obj(n: int, obj, vertices: Sequence[str], where: str) -> BlockAs
 
 def read_block_sequence(system: CircuitSystem, path: str | Path) -> list[BlockAssignment]:
     """Read a {"steps": [{vertex: hex block}, ...]} file checked against the system's vertices."""
-    raw = json.loads(Path(path).read_text())
+    raw = read_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("steps"), list):
         raise InstanceError(f'{path}: expected an object with a "steps" list')
     return [
@@ -497,44 +496,38 @@ def read_block_sequence(system: CircuitSystem, path: str | Path) -> list[BlockAs
 
 def write_system(system: CircuitSystem, directory: str | Path) -> None:
     directory = Path(directory)
-    write_text_atomic(directory / "system.json", json.dumps(system_to_obj(system), indent=2) + "\n")
-    write_text_atomic(
-        directory / "sigma_ini.json", json.dumps(blocks_to_obj(system.sigma_ini), indent=2) + "\n"
-    )
-    write_text_atomic(
-        directory / "sigma_tar.json", json.dumps(blocks_to_obj(system.sigma_tar), indent=2) + "\n"
-    )
+    write_json(directory / "system.json", system_to_obj(system))
+    write_json(directory / "sigma_ini.json", blocks_to_obj(system.sigma_ini))
+    write_json(directory / "sigma_tar.json", blocks_to_obj(system.sigma_tar))
 
 
 def read_system(directory: str | Path) -> CircuitSystem:
     directory = Path(directory)
     source = directory / "system.json"
-    obj = json.loads(source.read_text())
+    obj = read_json(source)
     try:
         n = obj["n"]
         if type(n) is not int or not 2 <= n <= MAX_N:
             raise ValueError(f'"n" must be an integer in 2..{MAX_N}, got {n!r:.40}')
         weakened = obj.get("weakened", False)
+        if type(weakened) is not bool:
+            raise ValueError(f'"weakened" must be true or false, got {weakened!r:.40}')
+        original_alphabet = obj.get("original_alphabet", 1 << n)
+        if type(original_alphabet) is not int or original_alphabet < 2:
+            raise ValueError(
+                f'"original_alphabet" must be an integer >= 2, got {original_alphabet!r:.40}'
+            )
+        for i, e in enumerate(obj["edges"]):
+            if type(e["id"]) is not int:
+                raise ValueError(f'edges[{i}]: "id" must be an integer, got {e["id"]!r:.40}')
         vertices = tuple(obj["vertices"])
         edges = tuple(tuple(e["vertices"]) for e in obj["edges"])
-        accepts = tuple(
-            frozenset(tuple(p) for p in e["accept"]) for e in obj["edges"]
-        )
-        graph = ConstraintGraph(
-            q=2, vertices=vertices, edges=edges, alphabet=1 << n, accepts=accepts
-        )
+        accepts = tuple(frozenset(map(tuple, e["accept"])) for e in obj["edges"])
+        graph = ConstraintGraph(q=2, vertices=vertices, edges=edges, alphabet=1 << n, accepts=accepts)
         circuits = tuple(
-            RobustCircuit(
-                edge_index=e["id"],
-                v=e["vertices"][0],
-                w=e["vertices"][1],
-                pairs=frozenset(tuple(p) for p in e["accept"]),
-                n=n,
-                weakened=weakened,
-            )
-            for e in obj["edges"]
+            RobustCircuit(e["id"], edge[0], edge[1], pairs, n, weakened=weakened)
+            for e, edge, pairs in zip(obj["edges"], edges, accepts)
         )
-        original_alphabet = obj.get("original_alphabet", 1 << n)
     except KeyError as exc:
         raise InstanceError(f"{source}: missing key {exc.args[0]!r}") from None
     except (IndexError, TypeError, ValueError) as exc:
@@ -542,7 +535,7 @@ def read_system(directory: str | Path) -> CircuitSystem:
 
     def read_blocks(name: str) -> BlockAssignment:
         path = directory / name
-        return blocks_from_obj(n, json.loads(path.read_text()), vertices, str(path))
+        return blocks_from_obj(n, read_json(path), vertices, str(path))
 
     return CircuitSystem(
         circuits=circuits,

@@ -163,6 +163,20 @@ _MALFORMED = {
     "system-without-n": "system.json: missing key 'n'",
     # a 2^24-bit block would build a 2^48-position codeword table
     "system-n-too-big": 'system.json: "n" must be an integer in 2..12, got 24',
+    # "no" is truthy, so it would switch on the weakened decoding radius
+    "system-weakened-string": 'system.json: "weakened" must be true or false, got \'no\'',
+    "system-id-float": 'system.json: edges[0]: "id" must be an integer, got 2.5',
+    "system-original-alphabet-string": 'system.json: "original_alphabet" must be an integer >= 2',
+    "system-truncated": "system.json: malformed JSON (",
+    "walk-truncated": "walk.json: malformed JSON (",
+}
+
+_SYSTEM_EDITS = {
+    "system-without-n": lambda obj: obj.pop("n"),
+    "system-n-too-big": lambda obj: obj.update(n=24),
+    "system-weakened-string": lambda obj: obj.update(weakened="no"),
+    "system-id-float": lambda obj: obj["edges"][0].update(id=2.5),
+    "system-original-alphabet-string": lambda obj: obj.update(original_alphabet="x"),
 }
 
 
@@ -181,15 +195,20 @@ def test_malformed_sigma_and_system_files_exit_2(tmp_path, capsys, case):
         "block-too-long": [good, {**good, "u": "ff"}],
         "step-missing-vertex": [good, {"u": good["u"]}],
     }
+    system_json = sys_dir / "system.json"
+    if case in _SYSTEM_EDITS:
+        obj = json.loads(system_json.read_text())
+        _SYSTEM_EDITS[case](obj)
+        system_json.write_text(json.dumps(obj))
+    elif case == "system-truncated":
+        system_json.write_text(system_json.read_text()[:40])
     if case == "system-without-n":
-        obj = json.loads((sys_dir / "system.json").read_text())
-        del obj["n"]
-        (sys_dir / "system.json").write_text(json.dumps(obj))
         argv = ["compose", "--system", sys_dir, "--out", tmp_path / "composed"]
-    elif case == "system-n-too-big":
-        obj = json.loads((sys_dir / "system.json").read_text())
-        obj["n"] = 24
-        (sys_dir / "system.json").write_text(json.dumps(obj))
+    elif case == "walk-truncated":
+        walk = tmp_path / "walk.json"
+        walk.write_text('{"steps": [\n')
+        argv = ["pipeline", "--instance", inst_path, "--mode", "micro", "--path", walk]
+    elif case.startswith("system-"):
         argv = ["verify-sequence", "--system", sys_dir, "--sigma", _sigma_file(tmp_path, {"steps": [good]})]
     else:
         sigma = {"steps": steps[case]} if case in steps else {"stairs": [good]}
@@ -198,7 +217,7 @@ def test_malformed_sigma_and_system_files_exit_2(tmp_path, capsys, case):
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and _MALFORMED[case] in err and "Traceback" not in err
-    if not case.startswith("system-"):
+    if not case.startswith(("system-", "walk-")):
         assert "sigma.json" in err
 
 

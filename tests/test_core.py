@@ -1,9 +1,11 @@
 import itertools
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reconfcsp.core import (
@@ -120,6 +122,94 @@ def test_serialize_round_trip_with_overrides():
     )
     inst = ReconfInstance(graph, Assignment({"x": 1, "y": 4}), Assignment({"x": 0, "y": 0}))
     assert deserialize(serialize(inst)) == inst
+
+
+def _serialize_oracle(instance: ReconfInstance) -> str:
+    """The instance writer as it was: one object, written whole by `json.dumps`."""
+    graph = instance.graph
+    vertices = []
+    for v in graph.vertices:
+        if v in graph.vertex_alphabets:
+            vertices.append({"name": v, "alphabet": graph.vertex_alphabets[v]})
+        else:
+            vertices.append(v)
+    obj = {
+        "arity": graph.q,
+        "alphabet": graph.alphabet,
+        "vertices": vertices,
+        "edges": [
+            {"vertices": list(edge), "accept": [list(t) for t in acc]}
+            for edge, acc in zip(graph.edges, graph.accepts)
+        ],
+    }
+    obj["psi_ini"] = {v: instance.psi_ini.values[v] for v in graph.vertices}
+    obj["psi_tar"] = {v: instance.psi_tar.values[v] for v in graph.vertices}
+    return json.dumps(obj, indent=2) + "\n"
+
+
+_NAMES = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"accept": []', '"accept": [', "accept", '"', "\\", "\n", "é"]),
+)
+
+
+@st.composite
+def writer_instances(draw):
+    """Instances over q = 1, 2, 4 with symbols of 1 to 5 digits, odd names and overrides."""
+    q = draw(st.sampled_from([1, 2, 4]))
+    # four 5-digit coordinates would overflow int64 codes, so q = 4 stops at 4 digits
+    size = st.one_of(st.integers(1, 3), st.integers(1, 9999 if q == 4 else 99999))
+    names = draw(st.lists(_NAMES, min_size=1, max_size=5, unique=True))
+    alphabet = draw(size)
+    overrides = draw(st.dictionaries(st.sampled_from(names), size, max_size=len(names)))
+    sizes = {v: overrides.get(v, alphabet) for v in names}
+    edges, accepts = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        edge = tuple(draw(st.sampled_from(names)) for _ in range(q))
+        row = st.tuples(*(st.integers(0, sizes[v] - 1) for v in edge))
+        edges.append(edge)
+        accepts.append(draw(st.sets(row, max_size=8)))
+    graph = ConstraintGraph(q, tuple(names), tuple(edges), alphabet, tuple(accepts), overrides)
+
+    def psi():
+        return Assignment({v: draw(st.integers(0, sizes[v] - 1)) for v in names})
+
+    return ReconfInstance(graph, psi(), psi())
+
+
+_MANY_SMALL = ReconfInstance(
+    ConstraintGraph(2, ("a", "b"), (("a", "b"), ("b", "a")), 3,
+                    (frozenset(itertools.product(range(3), repeat=2)), frozenset())),
+    Assignment({"a": 0, "b": 2}),
+    Assignment({"a": 1, "b": 1}),
+)
+
+
+@settings(max_examples=200)
+@given(writer_instances())
+@example(_MANY_SMALL)  # symbols below the entry count: the table is marked, not sorted
+def test_serialize_matches_json_dumps(inst):
+    text = serialize(inst)
+    assert text == _serialize_oracle(inst)
+    assert deserialize(text) == inst
+
+
+def test_serialize_huge_alphabet_builds_no_symbol_table():
+    big = 1 << 40
+    graph = ConstraintGraph(
+        2, ("x", "y"), (("x", "y"), ("y", "x")), big,
+        (frozenset({(0, 1), (12345678901, 2), (big - 1, 3)}), frozenset({(3, big - 1)})),
+        vertex_alphabets={"y": 4},
+    )
+    inst = ReconfInstance(graph, Assignment({"x": big - 1, "y": 3}), Assignment({"x": 0, "y": 0}))
+    tracemalloc.start()
+    try:
+        text = serialize(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == _serialize_oracle(inst)
+    assert peak < 1 << 20
 
 
 def test_deserialize_missing_endpoint(triangle):
