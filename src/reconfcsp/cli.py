@@ -30,7 +30,7 @@ from .constants import (
     THEORETICAL,
 )
 from .core import InstanceError
-from .fileio import read_json, write_json, write_text_atomic
+from .fileio import read_instance, read_json, write_json, write_text_atomic
 from .seeding import stream
 from .solver import generate_instance
 
@@ -77,7 +77,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance = core.deserialize(Path(args.instance).read_text())
+    instance = read_instance(args.instance)
     if args.threshold is not None:
         ok, witness = solver.reachable_at_threshold(instance, args.threshold, budget=args.budget)
         print(f"reachable at threshold {args.threshold}: {ok}")
@@ -156,7 +156,7 @@ def _cmd_hadamard_partial_sum(args) -> int:
 
 
 def _cmd_robustize(args) -> int:
-    instance = core.deserialize(Path(args.instance).read_text())
+    instance = read_instance(args.instance)
     system = robustize.robustize(instance, weakened=args.weakened)
     robustize.write_system(system, args.out)
     print(f"system: {args.out} (n={system.n}, circuits={len(system.circuits)})")
@@ -199,7 +199,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_arity_reduce(args) -> int:
-    instance = core.deserialize(Path(args.instance).read_text())
+    instance = read_instance(args.instance)
     reduction = compose_mod.arity_reduce(instance)
     write_text_atomic(args.out, core.serialize(reduction.instance))
     if args.trace:
@@ -230,7 +230,7 @@ _THEORY_COMMENTS = [
 
 def _cmd_pipeline(args) -> int:
     print(f"seed: {args.seed}")
-    instance = core.deserialize(Path(args.instance).read_text())
+    instance = read_instance(args.instance)
     psi_seq = None
     if args.path:
         psi_seq = core.sequence_from_obj(read_json(args.path), instance.graph)

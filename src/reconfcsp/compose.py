@@ -15,7 +15,6 @@ per coordinate so endpoint moves never need a simultaneous two-sided change.
 
 from __future__ import annotations
 
-import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -464,6 +463,10 @@ class CellInfo:
     def singleton(self, values: Sequence[int]) -> int:
         return self.encode([(v, v) for v in values])
 
+    def strides(self) -> np.ndarray:
+        """Place value of each coordinate's pair index in a cell value."""
+        return np.cumprod([1] + [len(pl) for pl in self.pair_lists[:-1]])
+
 
 @dataclass(frozen=True)
 class ArityReduction:
@@ -473,70 +476,28 @@ class ArityReduction:
     cells: tuple[CellInfo, ...]
 
 
-def _valid_cell_symbols(cell: CellInfo, accepts: AcceptSet) -> list[int]:
-    """All valid cell values, enumerated over one pair choice per distinct vertex.
+def _valid_cell_symbols(cell: CellInfo, accepts: AcceptSet) -> np.ndarray:
+    """All valid cell values, ascending, enumerated over one pair choice per distinct vertex.
 
     A cell value is valid when its pairs agree on repeated vertices and every
     consistent selection of one value per pair is an accepted tuple.  The
-    accepted-tuple set is held as one bitmask over the coordinate-value
-    product space, so "every selection of this pair tuple is accepted"
-    is a single AND-and-compare per candidate.
+    accepted tuples fill one boolean table over the coordinate values; its
+    diagonal over repeated vertices is a table over the d distinct vertices.
+    A pair choice is valid iff all 2^d corners of its box (the low or high
+    value of each vertex's pair) are accepted; ANDing the low and high
+    slices of one vertex axis at a time checks every corner.
     """
-    arity = len(cell.vertices)
-    widths = [pl[-1][0] + 1 for pl in cell.pair_lists]
-    value_strides = []
-    total = 1
-    for w in widths:
-        value_strides.append(total)
-        total *= w
-    pi_mask = 0
-    for t in accepts:
-        pi_mask |= 1 << sum(c * s for c, s in zip(t, value_strides))
-    rejected = ((1 << total) - 1) ^ pi_mask
-    coord_value_masks = [[0] * w for w in widths]
-    for idx in range(total):
-        rest = idx
-        for i, w in enumerate(widths):
-            c = rest % w
-            rest //= w
-            coord_value_masks[i][c] |= 1 << idx
-    order: dict[str, int] = {}
-    for v in cell.vertices:
-        order.setdefault(v, len(order))
-    coord_of = tuple(order[v] for v in cell.vertices)
-    coords_of_vertex: list[list[int]] = [[] for _ in order]
-    for i, dv in enumerate(coord_of):
-        coords_of_vertex[dv].append(i)
-    cell_strides = []
-    acc = 1
-    for pl in cell.pair_lists:
-        cell_strides.append(acc)
-        acc *= len(pl)
-    per_vertex: list[list[tuple[int, int]]] = []  # (selection mask, partial symbol)
-    for coords in coords_of_vertex:
-        options = []
-        for k, (a, b) in enumerate(cell.pair_lists[coords[0]]):
-            # A vertex takes one value at a time, so AND its coordinates per
-            # value, then union over the pair.
-            mask = 0
-            for c in {a, b}:
-                value_mask = -1
-                for i in coords:
-                    value_mask &= coord_value_masks[i][c]
-                mask |= value_mask
-            partial = sum(k * cell_strides[i] for i in coords)
-            options.append((mask, partial))
-        per_vertex.append(options)
-    out = []
-    for combo in itertools.product(*per_vertex):
-        box = -1
-        sym = 0
-        for mask, partial in combo:
-            box &= mask
-            sym += partial
-        if box & rejected == 0:
-            out.append(sym)
-    return sorted(out)
+    table = np.zeros(accepts.sizes, dtype=bool)
+    table[tuple(accepts._rows().T)] = True
+    distinct = list(dict.fromkeys(cell.vertices))
+    letters = "".join("abcd"[distinct.index(v)] for v in cell.vertices)
+    ok = np.einsum(f"{letters}->{'abcd'[:len(distinct)]}", table)
+    for axis, v in enumerate(distinct):
+        lo, hi = np.array(cell.pair_lists[cell.vertices.index(v)]).T
+        ok = ok.take(lo, axis=axis) & ok.take(hi, axis=axis)
+    strides = cell.strides()
+    vertex_strides = [strides[[u == v for u in cell.vertices]].sum() for v in distinct]
+    return np.sort(sum(k * s for k, s in zip(np.nonzero(ok), vertex_strides)))
 
 
 def _cell_edge_rows(
@@ -558,8 +519,8 @@ def _cell_edge_rows(
     return rows[keep]
 
 
-# Largest coordinate-value product space held as one accepted-tuple bitmask.
-_MASK_COORDINATES = 1 << 20
+# Largest coordinate-value product space held as one boolean accept table.
+_TABLE_COORDINATES = 1 << 20
 
 
 def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityReduction:
@@ -574,10 +535,14 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
     violated binary edge per violated hyperedge, four binary edges per
     hyperedge).
 
-    Cell alphabets are summed up front: exceeding `cell_budget` fails fast
-    before any enumeration, since materializing the binary accept sets at
-    that size would thrash rather than finish.  A hyperedge whose
-    coordinate-value space exceeds 2^20 fails the same way.
+    Valid cell values are enumerated once per distinct hyperedge (repetition
+    pattern, alphabets, accepted tuples) by `_valid_cell_symbols`, and
+    hyperedges alike share their four binary accept sets.  Cell alphabets
+    are summed up front: exceeding `cell_budget` fails fast before any
+    enumeration, since materializing the binary accept sets at that size
+    would thrash rather than finish.  A hyperedge whose coordinate-value
+    space exceeds 2^20, the largest boolean accept table built, fails the
+    same way.
     """
     graph = inst4.graph
     if graph.q != 4:
@@ -610,21 +575,27 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
         )
     for cell in cells:
         coordinates = math.prod(graph.alphabet_of(v) for v in cell.vertices)
-        if coordinates > _MASK_COORDINATES:
+        if coordinates > _TABLE_COORDINATES:
             raise InstanceError(
                 f"hyperedge {cell.hyperedge}: coordinate space {coordinates} exceeds "
-                f"{_MASK_COORDINATES}, too large for the accepted-tuple bitmask"
+                f"{_TABLE_COORDINATES}, too large for one boolean accept table"
             )
+    # ConstraintGraph reuses these shared, immutable sets unchecked.
+    edge_sets: dict[tuple, list[AcceptSet]] = {}
     for j, edge in enumerate(graph.edges):
-        cell = cells[j]
+        cell, acc = cells[j], graph.accepts[j]
         trace.vertex_origin[cell.name] = {"kind": "cell", "hyperedge": j}
-        valid = np.array(_valid_cell_symbols(cell, graph.accepts[j]), dtype=np.int64)
-        stride = 1
-        for i, (v, pl) in enumerate(zip(edge, cell.pair_lists)):
+        key = (tuple(edge.index(v) for v in edge), acc.sizes, acc.codes.tobytes())
+        if key not in edge_sets:
+            valid = _valid_cell_symbols(cell, acc)
+            edge_sets[key] = [
+                AcceptSet(_cell_edge_rows(valid, stride, pl), (cell.alphabet, size))
+                for stride, pl, size in zip(cell.strides(), cell.pair_lists, acc.sizes)
+            ]
+        for i, (v, edge_set) in enumerate(zip(edge, edge_sets[key])):
             new_edges.append((cell.name, v))
-            new_accepts.append(_cell_edge_rows(valid, stride, pl))
+            new_accepts.append(edge_set)
             trace.hyperedge_origin.append({"hyperedge": j, "coordinate": i})
-            stride *= len(pl)
     for cell in cells:
         overrides[cell.name] = cell.alphabet
     binary_graph = ConstraintGraph(

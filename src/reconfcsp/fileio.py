@@ -1,4 +1,4 @@
-"""JSON and atomic text file I/O shared by the library readers, writers and the CLI."""
+"""JSON, instance and atomic text file I/O shared by the library readers, writers and the CLI."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .core import InstanceError
+from .core import InstanceError, ReconfInstance, deserialize
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -29,9 +29,25 @@ def write_json(path: str | Path, obj) -> None:
     write_text_atomic(path, json.dumps(obj, indent=2) + "\n")
 
 
-def read_json(path: str | Path):
-    """The parsed file; malformed JSON raises InstanceError naming the file."""
+def _read_utf8(path: str | Path) -> str:
     try:
-        return json.loads(Path(path).read_text())
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_json(path: str | Path):
+    """The parsed file; malformed JSON or non-UTF-8 bytes raise InstanceError naming the file."""
+    try:
+        return json.loads(_read_utf8(path))
     except json.JSONDecodeError as exc:
         raise InstanceError(f"{path}: malformed JSON ({exc})") from None
+
+
+def read_instance(path: str | Path) -> ReconfInstance:
+    """The instance in the file; every InstanceError it raises names the file."""
+    text = _read_utf8(path)
+    try:
+        return deserialize(text)
+    except InstanceError as exc:
+        raise InstanceError(f"{path}: {exc}") from None

@@ -244,7 +244,34 @@ def test_malformed_instance_json_exits_2(tmp_path, capsys, case):
     path.write_text(json.dumps(obj))
     assert run("solve", "--instance", path) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: instance") and "Traceback" not in err
+    assert err.startswith(f"error: {path}: instance") and "Traceback" not in err
+
+
+def test_truncated_instance_names_its_file(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(core.serialize(triangle_equality())[:40])
+    assert run("solve", "--instance", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: instance: malformed field (") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "compose"])
+def test_non_utf8_file_exits_2_naming_it(tmp_path, capsys, command):
+    # ff fe is a UTF-16 byte-order mark, never valid UTF-8
+    inst_path = tmp_path / "inst.json"
+    write_text_atomic(inst_path, core.serialize(triangle_equality()))
+    if command == "solve":
+        bad = inst_path
+        argv = ["solve", "--instance", inst_path]
+    else:
+        assert run("robustize", "--instance", inst_path, "--out", tmp_path / "sys") == 0
+        bad = tmp_path / "sys" / "system.json"
+        argv = ["compose", "--system", tmp_path / "sys", "--out", tmp_path / "composed"]
+    bad.write_bytes(b"\xff\xfe" + bad.read_text().encode("utf-16-le"))
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text") and "Traceback" not in err
 
 
 # SHA-256 of `arity-reduce --out` and `--trace` for the lean seed-7 chain,

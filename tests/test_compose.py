@@ -17,6 +17,7 @@ from reconfcsp.compose import (
     superimpose,
 )
 from reconfcsp.core import (
+    AcceptSet,
     Assignment,
     ConstraintGraph,
     InstanceError,
@@ -268,10 +269,22 @@ def _brute_force_binary_tuples(cell, accepts):
     ]
 
 
+def _repetition_patterns():
+    """The 15 ways four coordinates can repeat vertices, as edges over u, w, x, z."""
+    patterns = set()
+    for labels in itertools.product(range(4), repeat=4):
+        first = {}
+        patterns.add(tuple("uwxz"[first.setdefault(c, len(first))] for c in labels))
+    return sorted(patterns)
+
+
+REPETITION_PATTERNS = _repetition_patterns()
+
+
 @st.composite
 def small_four_ary(draw):
     alphabet = draw(st.sampled_from([2, 3]))
-    edge = draw(st.sampled_from([("p", "q", "r", "s"), ("u", "u", "w", "z")]))
+    edge = draw(st.sampled_from(REPETITION_PATTERNS))
     vertices = tuple(dict.fromkeys(edge))
     space = list(itertools.product(range(alphabet), repeat=4))
     accepts = draw(st.sets(st.sampled_from(space), min_size=1, max_size=12))
@@ -279,8 +292,14 @@ def small_four_ary(draw):
     return _four_ary(accepts, start, start, vertices=vertices, alphabet=alphabet, edge=edge)
 
 
+def test_repetition_patterns_are_all_fifteen():
+    assert len(REPETITION_PATTERNS) == 15
+    assert ("u", "u", "u", "u") in REPETITION_PATTERNS
+    assert ("u", "w", "w", "u") in REPETITION_PATTERNS
+
+
 @given(small_four_ary())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_arity_reduce_matches_brute_force_definition(inst):
     reduction = arity_reduce(inst)
     (cell,) = reduction.cells
@@ -289,6 +308,44 @@ def test_arity_reduce_matches_brute_force_definition(inst):
     assert binary.edges == tuple((cell.name, v) for v in cell.vertices)
     for acc, tuples in zip(binary.accepts, expected):
         assert list(acc) == tuples
+
+
+# Accept codes shared by hyperedges of different shapes: over alphabets
+# (2, 3, 2, 3) they are the tuples below, over (3, 3, 3, 2) other tuples.
+_SHARED_CODES = AcceptSet(
+    [(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1), (0, 0, 1, 1), (1, 2, 0, 2),
+     (1, 2, 1, 2), (1, 1, 0, 1), (0, 1, 1, 1)],
+    (2, 3, 2, 3),
+).codes
+
+
+def test_arity_reduce_hyperedges_sharing_codes_match_brute_force():
+    verts = ("p", "q", "r", "s", "t")
+    edges = (
+        ("p", "q", "r", "s"),
+        ("p", "q", "p", "q"),  # same codes and alphabets, other repetition pattern
+        ("r", "s", "p", "q"),  # identical to the first
+        ("q", "s", "t", "r"),  # same codes and pattern, other alphabets
+        ("r", "t", "r", "q"),  # same codes and alphabets, third pattern
+        ("p", "q", "r", "s"),  # identical to the first again
+    )
+    alphabets = {"q": 3, "s": 3, "t": 3}
+    accepts = tuple(
+        AcceptSet.from_codes(_SHARED_CODES, [alphabets.get(v, 2) for v in e]) for e in edges
+    )
+    zeros = Assignment(dict.fromkeys(verts, 0))
+    inst = ReconfInstance(
+        ConstraintGraph(4, verts, edges, 2, accepts, vertex_alphabets=alphabets), zeros, zeros
+    )
+    reduction = arity_reduce(inst)
+    binary = reduction.instance.graph
+    for cell in reduction.cells:
+        expected = _brute_force_binary_tuples(cell, set(accepts[cell.hyperedge]))
+        for i, tuples in enumerate(expected):
+            assert list(binary.accepts[4 * cell.hyperedge + i]) == tuples, (cell.hyperedge, i)
+    for i in range(4):
+        assert binary.accepts[i] is binary.accepts[8 + i] is binary.accepts[20 + i]
+        assert binary.accepts[i] is not binary.accepts[4 + i]
 
 
 def test_arity_reduce_requires_arity_four():
