@@ -45,11 +45,6 @@ def write_csv_atomic(path: str | Path, header: list[str], rows: list[list], comm
     write_text_atomic(path, buffer.getvalue())
 
 
-def _env_int(name: str, fallback: int | None) -> int | None:
-    raw = os.environ.get(name)
-    return int(raw) if raw is not None else fallback
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -127,6 +122,10 @@ def _cmd_hadamard_path(args) -> int:
 
 
 def _cmd_hadamard_partial_sum(args) -> int:
+    if args.n < 1 or args.trials < 1:
+        raise InstanceError(f"--n and --trials must be positive, got {args.n} and {args.trials}")
+    if args.exhaustive and args.n > hadamard.EXHAUSTIVE_MAX_N:
+        raise InstanceError(f"--exhaustive needs --n <= {hadamard.EXHAUSTIVE_MAX_N}, got {args.n}")
     print(f"seed: {args.seed}")
     if args.exhaustive:
         freq = hadamard.partial_sum_exhaustive(args.n)
@@ -233,7 +232,8 @@ def _cmd_pipeline(args) -> int:
     instance = read_instance(args.instance)
     psi_seq = None
     if args.path:
-        psi_seq = core.sequence_from_obj(read_json(args.path), instance.graph)
+        obj = read_json(args.path)
+        psi_seq = core.sequence_from_obj(obj, instance.graph, f"{args.path}: sequence")
     result = compose_mod.full_pipeline(
         instance,
         mode=args.mode,
@@ -368,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_seed(p):
         p.add_argument(
-            "--seed", type=int, default=_env_int("RECONF_SEED", DEFAULT_SEED),
+            "--seed", type=int, default=os.environ.get("RECONF_SEED", DEFAULT_SEED),
             help=f"root seed (default {DEFAULT_SEED}; env RECONF_SEED)",
         )
 
     def add_budget(p):
         p.add_argument(
-            "--budget", type=int, default=_env_int("RECONF_BUDGET", DEFAULT_BUDGET),
+            "--budget", type=int, default=os.environ.get("RECONF_BUDGET", DEFAULT_BUDGET),
             help="exact-search state budget (env RECONF_BUDGET)",
         )
 
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     had = sub.add_parser("hadamard", help="codeword path and partial-sum tools")
     had_sub = had.add_subparsers(dest="subcommand", required=True)
     hp = had_sub.add_parser("path", help="generate (and verify) a codeword path")
-    hp.add_argument("--n", type=int, default=_env_int("RECONF_N", 9), help="env RECONF_N")
+    hp.add_argument("--n", type=int, default=os.environ.get("RECONF_N", 9), help="env RECONF_N")
     hp.add_argument("--alpha", type=int, required=True)
     hp.add_argument("--beta", type=int, required=True)
     hp.add_argument("--retries", type=int, default=3)
@@ -414,9 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_seed(hp)
     hp.set_defaults(func=_cmd_hadamard_path)
     ps = had_sub.add_parser("partial-sum", help="minimum partial-sum experiment")
-    ps.add_argument("--n", type=int, default=_env_int("RECONF_N", 128), help="env RECONF_N")
+    ps.add_argument("--n", type=int, default=os.environ.get("RECONF_N", 128), help="env RECONF_N")
     ps.add_argument(
-        "--trials", type=int, default=_env_int("RECONF_TRIALS", 100_000),
+        "--trials", type=int, default=os.environ.get("RECONF_TRIALS", 100_000),
         help="env RECONF_TRIALS",
     )
     ps.add_argument("--exhaustive", action="store_true")
@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="scripted experiments with CSV output")
     exp.add_argument("name", choices=sorted(_EXPERIMENTS))
-    exp.add_argument("--n", type=int, default=_env_int("RECONF_N", None))
+    exp.add_argument("--n", type=int, default=os.environ.get("RECONF_N"))
     exp.add_argument("--out", default=None)
     add_seed(exp)
     exp.set_defaults(func=_dispatch_experiment)

@@ -145,10 +145,7 @@ def reference_tester(
 @dataclass(frozen=True)
 class SuperimposedGraph:
     graph: ConstraintGraph
-    twin1: AssignmentTesterOutput
-    twin2: AssignmentTesterOutput
     hyperedge_pairs: tuple[tuple[int, int], ...]
-    trace: ReductionTrace
 
 
 def superimpose(
@@ -171,8 +168,9 @@ def superimpose(
     overrides = dict(g1.vertex_alphabets)
     overrides.update(g2.vertex_alphabets)
 
-    tables1 = [_pair_table(g1, e, acc) for e, acc in zip(g1.edges, g1.accepts)]
-    tables2 = [_pair_table(g2, e, acc) for e, acc in zip(g2.edges, g2.accepts)]
+    tables1, tables2 = ([g.vertex_table(j)[1] for j in range(len(g.edges))] for g in (g1, g2))
+    if any(table.ndim != 2 for table in tables1 + tables2):
+        raise InstanceError("twin edges must join two distinct vertices")
     edges = []
     accepts = []
     pairs = []
@@ -190,23 +188,7 @@ def superimpose(
         accepts=tuple(accepts),
         vertex_alphabets=overrides,
     )
-    trace = ReductionTrace(stage="superimpose")
-    for v in twin1.x_vars:
-        trace.vertex_origin[v] = {"kind": "input-bit"}
-    for v in twin1.y_vars:
-        trace.vertex_origin[v] = {"kind": "aux", "twin": 1}
-    for v in twin2.y_vars:
-        trace.vertex_origin[v] = {"kind": "aux", "twin": 2}
-    trace.hyperedge_origin = [{"twin_pair": list(p)} for p in pairs]
-    return SuperimposedGraph(graph, twin1, twin2, tuple(pairs), trace)
-
-
-def _pair_table(graph: ConstraintGraph, edge: tuple[str, str], accepts) -> np.ndarray:
-    """Boolean table over a binary edge's value pairs, true where accepted."""
-    table = np.zeros([graph.alphabet_of(v) for v in edge], dtype=bool)
-    for a, b in accepts:
-        table[a, b] = True
-    return table
+    return SuperimposedGraph(graph, tuple(pairs))
 
 
 def pad_edge_groups(groups: list[list], mark=lambda item: item) -> list[list]:
@@ -232,7 +214,6 @@ def pad_edge_groups(groups: list[list], mark=lambda item: item) -> list[list]:
 class ComposedEdge:
     index: int
     circuit: RobustCircuit
-    sat_list: tuple[int, ...]
     sat_index: dict[int, int]
     y1: str
     y2: str
@@ -306,7 +287,6 @@ def compose_system(system: CircuitSystem) -> ComposedSystem:
             ComposedEdge(
                 index=c.edge_index,
                 circuit=c,
-                sat_list=sats,
                 sat_index={s: j for j, s in enumerate(sats)},
                 y1=y1,
                 y2=y2,
@@ -472,26 +452,20 @@ class CellInfo:
 class ArityReduction:
     instance: ReconfInstance
     trace: ReductionTrace
-    source: ReconfInstance
     cells: tuple[CellInfo, ...]
 
 
-def _valid_cell_symbols(cell: CellInfo, accepts: AcceptSet) -> np.ndarray:
+def _valid_cell_symbols(cell: CellInfo, distinct: tuple[str, ...], ok: np.ndarray) -> np.ndarray:
     """All valid cell values, ascending, enumerated over one pair choice per distinct vertex.
 
     A cell value is valid when its pairs agree on repeated vertices and every
-    consistent selection of one value per pair is an accepted tuple.  The
-    accepted tuples fill one boolean table over the coordinate values; its
-    diagonal over repeated vertices is a table over the d distinct vertices.
-    A pair choice is valid iff all 2^d corners of its box (the low or high
-    value of each vertex's pair) are accepted; ANDing the low and high
-    slices of one vertex axis at a time checks every corner.
+    consistent selection of one value per pair is an accepted tuple.  `ok`
+    is the hyperedge's accept table over its `distinct` vertices
+    (`ConstraintGraph.vertex_table`).  A pair choice is valid iff all 2^d
+    corners of its box (the low or high value of each vertex's pair) are
+    accepted; ANDing the low and high slices of one vertex axis at a time
+    checks every corner.
     """
-    table = np.zeros(accepts.sizes, dtype=bool)
-    table[tuple(accepts._rows().T)] = True
-    distinct = list(dict.fromkeys(cell.vertices))
-    letters = "".join("abcd"[distinct.index(v)] for v in cell.vertices)
-    ok = np.einsum(f"{letters}->{'abcd'[:len(distinct)]}", table)
     for axis, v in enumerate(distinct):
         lo, hi = np.array(cell.pair_lists[cell.vertices.index(v)]).T
         ok = ok.take(lo, axis=axis) & ok.take(hi, axis=axis)
@@ -587,7 +561,7 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
         trace.vertex_origin[cell.name] = {"kind": "cell", "hyperedge": j}
         key = (tuple(edge.index(v) for v in edge), acc.sizes, acc.codes.tobytes())
         if key not in edge_sets:
-            valid = _valid_cell_symbols(cell, acc)
+            valid = _valid_cell_symbols(cell, *graph.vertex_table(j))
             edge_sets[key] = [
                 AcceptSet(_cell_edge_rows(valid, stride, pl), (cell.alphabet, size))
                 for stride, pl, size in zip(cell.strides(), cell.pair_lists, acc.sizes)
@@ -615,7 +589,7 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
         return Assignment(values)
 
     instance = ReconfInstance(binary_graph, endpoint(inst4.psi_ini), endpoint(inst4.psi_tar))
-    return ArityReduction(instance, trace, inst4, tuple(cells))
+    return ArityReduction(instance, trace, tuple(cells))
 
 
 def arity_reduce_sequence(

@@ -349,6 +349,23 @@ class ConstraintGraph:
     def edge_satisfied(self, edge_index: int, psi: "Assignment") -> bool:
         return self.accepts[edge_index]._accepts(map(psi.values.__getitem__, self.edges[edge_index]))
 
+    def vertex_table(self, edge_index: int) -> tuple[tuple[str, ...], np.ndarray]:
+        """Hyperedge's distinct vertices, in order of first appearance, and its accept table.
+
+        The boolean table has one axis per distinct vertex, over its alphabet;
+        accepted tuples that disagree on a repeated vertex match no assignment.
+        """
+        edge, accepts = self.edges[edge_index], self.accepts[edge_index]
+        distinct = tuple(dict.fromkeys(edge))
+        table = np.zeros([self.alphabet_of(v) for v in distinct], dtype=bool)
+        if len(distinct) == len(edge):
+            table.reshape(-1)[accepts.codes] = True  # a code is its tuple's flat index here
+            return distinct, table
+        rows = accepts._rows()
+        rows = rows[(rows == rows[:, [edge.index(v) for v in edge]]).all(axis=1)]
+        table[tuple(rows[:, [edge.index(v) for v in distinct]].T)] = True
+        return distinct, table
+
 
 @dataclass(frozen=True)
 class Assignment:
@@ -607,12 +624,14 @@ def sequence_to_obj(seq: ReconfigSequence, order: Sequence[str]) -> dict:
     return {"steps": [{v: step.values[v] for v in order} for step in seq.steps]}
 
 
-def sequence_from_obj(obj: dict, graph: ConstraintGraph) -> ReconfigSequence:
+def sequence_from_obj(
+    obj: dict, graph: ConstraintGraph, where: str = "sequence"
+) -> ReconfigSequence:
     if type(obj) is not dict:
-        raise InstanceError("sequence: malformed field (top level must be an object)")
+        raise InstanceError(f"{where}: malformed field (top level must be an object)")
     steps = []
-    for i, raw in enumerate(_require(obj, "steps", "sequence", list)):
-        psi = _assignment(raw, f"sequence.steps[{i}]")
-        check_total(graph, psi, where=f"sequence.steps[{i}]")
+    for i, raw in enumerate(_require(obj, "steps", where, list)):
+        psi = _assignment(raw, f"{where}.steps[{i}]")
+        check_total(graph, psi, where=f"{where}.steps[{i}]")
         steps.append(psi)
     return ReconfigSequence(tuple(steps))

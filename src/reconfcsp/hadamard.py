@@ -402,8 +402,14 @@ def partial_sum_experiment(n: int, trials: int, seed: int) -> PartialSumResult:
     return PartialSumResult(n, trials, threshold, hits, 0.9**n)
 
 
+# Largest N enumerated exactly: C(20, 10) = 184,756 arrangements.
+EXHAUSTIVE_MAX_N = 10
+
+
 def partial_sum_exhaustive(n: int) -> Fraction:
     """Exact frequency of min prefix sum <= -ceil(0.99 N) over all arrangements."""
+    if not 1 <= n <= EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive enumeration needs 1 <= n <= {EXHAUSTIVE_MAX_N}")
     threshold = math.ceil(Fraction(99, 100) * n)
     total = math.comb(2 * n, n)
     hits = 0

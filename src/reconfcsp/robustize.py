@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import FARNESS_MARGIN, MIN_SOUND_N, clause_two_radius, quarter_radius
+from .constants import MIN_SOUND_N, clause_two_radius, quarter_radius
 from .fileio import read_json, write_json
 from .core import (
     Assignment,
@@ -67,7 +67,6 @@ class RobustCircuit:
     w: str
     pairs: frozenset[tuple[int, int]]
     n: int
-    margin: Fraction = FARNESS_MARGIN
     weakened: bool = False  # radius exactly 1/4 in the decoding clause; negative tests only
 
     def __post_init__(self) -> None:

@@ -1,18 +1,24 @@
 """Exact maxmin-reconfiguration oracle for small instances.
 
-States are assignments encoded as mixed-radix integers.  The maxmin value is
-a maximum-capacity (widest) path over single-vertex moves, where a state's
-capacity is its satisfied-edge count; one bucket-queue search computes it,
-and the same search with a single bucket is the breadth-first reachability
-check at a fixed threshold.  `dfs_maxmin` is a deliberately independent
+States are assignments encoded as mixed-radix integers, vertex 0 least
+significant.  The maxmin value is a maximum-capacity (widest) path over
+single-vertex moves, where a state's capacity is its satisfied-edge count;
+one bucket-queue search computes it, and the same search with a single
+bucket is the breadth-first reachability check at a fixed threshold.  The
+search reads every count from one array of 1-2 bytes per state, built with
+numpy from the hyperedges' accept tables before the search starts; the
+state budget bounds its size.  `dfs_maxmin` is a deliberately independent
 second implementation used to cross-check the primary one; keep the two
 from sharing code.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .constants import DEFAULT_BUDGET
 from .core import (
@@ -39,88 +45,18 @@ class BudgetExceededError(InstanceError):
 
 
 def state_space_size(graph: ConstraintGraph) -> int:
-    size = 1
-    for v in graph.vertices:
-        size *= graph.alphabet_of(v)
-    return size
+    return math.prod(map(graph.alphabet_of, graph.vertices))
 
 
-class _Space:
-    """Mixed-radix encoding plus incremental satisfied-edge counting."""
+def _count_table(graph: ConstraintGraph, budget: int) -> memoryview:
+    """Satisfied-hyperedge count of every state, indexed by state id.
 
-    def __init__(self, graph: ConstraintGraph):
-        self.graph = graph
-        self.vertices = graph.vertices
-        self.sizes = [graph.alphabet_of(v) for v in self.vertices]
-        self.strides = []
-        acc = 1
-        for size in self.sizes:
-            self.strides.append(acc)
-            acc *= size
-        index = graph.vertex_index
-        self.edge_coords = [tuple(index[v] for v in edge) for edge in graph.edges]
-        # one tuple set per edge for the whole search: hashing a tuple is the
-        # cheapest membership test in this hot loop
-        self.accepts = [frozenset(acc) for acc in graph.accepts]
-        self.incidence: list[list[int]] = [[] for _ in self.vertices]
-        for j, coords in enumerate(self.edge_coords):
-            for i in set(coords):
-                self.incidence[i].append(j)
-
-    def encode(self, symbols: tuple[int, ...]) -> int:
-        return sum(s * stride for s, stride in zip(symbols, self.strides))
-
-    def decode(self, state: int) -> tuple[int, ...]:
-        out = []
-        for size in self.sizes:
-            out.append(state % size)
-            state //= size
-        return tuple(out)
-
-    def from_assignment(self, psi: Assignment) -> tuple[int, ...]:
-        return tuple(psi.values[v] for v in self.vertices)
-
-    def to_assignment(self, symbols: tuple[int, ...]) -> Assignment:
-        return Assignment(dict(zip(self.vertices, symbols)))
-
-    def edge_ok(self, j: int, symbols: tuple[int, ...]) -> bool:
-        return tuple(symbols[i] for i in self.edge_coords[j]) in self.accepts[j]
-
-    def count(self, symbols: tuple[int, ...]) -> int:
-        return sum(1 for j in range(len(self.edge_coords)) if self.edge_ok(j, symbols))
-
-    def count_after_move(
-        self, symbols: tuple[int, ...], count: int, vertex: int, symbol: int
-    ) -> tuple[tuple[int, ...], int]:
-        moved = list(symbols)
-        moved[vertex] = symbol
-        moved_t = tuple(moved)
-        for j in self.incidence[vertex]:
-            count += self.edge_ok(j, moved_t) - self.edge_ok(j, symbols)
-        return moved_t, count
-
-
-def _witness(space: _Space, parents: dict[int, int], state_id: int) -> ReconfigSequence:
-    chain = []
-    while state_id != -1:
-        chain.append(state_id)
-        state_id = parents[state_id]
-    chain.reverse()
-    return ReconfigSequence(tuple(space.to_assignment(space.decode(s)) for s in chain))
-
-
-def _search(
-    instance: ReconfInstance, floor: int, cap: int, budget: int
-) -> tuple[int | None, ReconfigSequence | None]:
-    """Widest-path search from psi_ini to psi_tar over single-vertex moves.
-
-    Labels are min(cap, smallest satisfied count on the discovery path), and
-    states below `floor` are never entered.  FIFO buckets pop highest label
-    first, so a label never exceeds the popped level and is final when set.
-    With floor == cap this is a plain BFS.  Returns (label, witness) for the
-    target, or (None, None) when no sequence stays at or above `floor`.
+    The counts live in one array of the smallest unsigned type that holds
+    |E|, laid out so its flat index is the state id.  Hyperedges over the
+    same vertices have their accept tables (`ConstraintGraph.vertex_table`)
+    summed first, and each sum is broadcast-added once.  Vertices of
+    alphabet 1 have no stride of their own, so they get no axis.
     """
-    graph = instance.graph
     if not graph.edges:
         raise InstanceError("no constraints: graph has an empty hyperedge list")
     size = state_space_size(graph)
@@ -128,41 +64,88 @@ def _search(
         raise BudgetExceededError(
             f"instance too large for exact search: {size} states exceed budget {budget}"
         )
-    space = _Space(graph)
-    ini = space.from_assignment(instance.psi_ini)
-    tar = space.from_assignment(instance.psi_tar)
-    ini_count = space.count(ini)
-    if ini_count < floor or space.count(tar) < floor:
+    index = graph.vertex_index
+    sizes = [graph.alphabet_of(v) for v in graph.vertices]
+    dtype = np.min_scalar_type(len(graph.edges))
+    groups: dict[tuple[int, ...], np.ndarray] = {}
+    for j in range(len(graph.edges)):
+        distinct, table = graph.vertex_table(j)
+        # axes in descending vertex order: the flat state id's last axis is vertex 0
+        order = sorted(range(len(distinct)), key=lambda a: -index[distinct[a]])
+        key = tuple(i for i in (index[distinct[a]] for a in order) if sizes[i] > 1)
+        table = table.transpose(order).reshape([sizes[i] for i in key])
+        groups[key] = groups[key] + table if key in groups else table.astype(dtype)
+    live = [i for i in reversed(range(len(sizes))) if sizes[i] > 1]
+    counts = np.zeros([sizes[i] for i in live], dtype=dtype)
+    for key, total in groups.items():
+        counts += total.reshape([sizes[i] if i in key else 1 for i in live])
+    return memoryview(counts.reshape(-1))
+
+
+def _witness(graph: ConstraintGraph, parents: dict[int, int], state_id: int) -> ReconfigSequence:
+    chain = []
+    while state_id != -1:
+        chain.append(state_id)
+        state_id = parents[state_id]
+    sizes = [graph.alphabet_of(v) for v in graph.vertices]
+    steps = []
+    for state_id in reversed(chain):
+        symbols = {}
+        for v, size in zip(graph.vertices, sizes):
+            state_id, symbols[v] = divmod(state_id, size)
+        steps.append(Assignment(symbols))
+    return ReconfigSequence(tuple(steps))
+
+
+def _search(
+    instance: ReconfInstance, counts: memoryview, floor: int, cap: int
+) -> tuple[int | None, ReconfigSequence | None]:
+    """Widest-path search from psi_ini to psi_tar over single-vertex moves.
+
+    Labels are min(cap, smallest satisfied count on the discovery path), and
+    states below `floor` are never entered.  FIFO buckets pop highest label
+    first, so a label never exceeds the popped level and is final when set.
+    With floor == cap this is a plain BFS.  The endpoints must differ, and
+    `counts` is `_count_table`'s.  Returns (label, witness) for the target,
+    or (None, None) when no sequence stays at or above `floor`.
+    """
+    graph = instance.graph
+    moves = []  # (stride, alphabet) of each vertex, in vertex order
+    stride = 1
+    for size in map(graph.alphabet_of, graph.vertices):
+        moves.append((stride, size))
+        stride *= size
+    ini_id, tar_id = (
+        sum(psi.values[v] * stride for v, (stride, _) in zip(graph.vertices, moves))
+        for psi in (instance.psi_ini, instance.psi_tar)
+    )
+    ini_count = counts[ini_id]
+    if ini_count < floor or counts[tar_id] < floor:
         return None, None
-    ini_id, tar_id = space.encode(ini), space.encode(tar)
     parents: dict[int, int] = {ini_id: -1}
     level = min(cap, ini_count)
-    if ini_id == tar_id:
-        return level, _witness(space, parents, tar_id)
     buckets = [deque() for _ in range(level - floor + 1)]
-    buckets[level - floor].append((ini_id, ini, ini_count))
+    buckets[level - floor].append(ini_id)
     while level >= floor:
         bucket = buckets[level - floor]
         if not bucket:
             level -= 1
             continue
-        state_id, symbols, count = bucket.popleft()
-        for vertex in range(len(space.vertices)):
-            current = symbols[vertex]
-            for symbol in range(space.sizes[vertex]):
-                if symbol == current:
-                    continue
-                nxt_id = state_id + (symbol - current) * space.strides[vertex]
+        state_id = bucket.popleft()
+        for stride, size in moves:
+            # the move's other states, in symbol order; state_id itself is in parents
+            base = state_id - (state_id // stride) % size * stride
+            for nxt_id in range(base, base + size * stride, stride):
                 if nxt_id in parents:
                     continue
-                nxt, nxt_count = space.count_after_move(symbols, count, vertex, symbol)
+                nxt_count = counts[nxt_id]
                 if nxt_count < floor:
                     continue
                 parents[nxt_id] = state_id
                 label = min(level, nxt_count)
                 if nxt_id == tar_id:
-                    return label, _witness(space, parents, tar_id)
-                buckets[label - floor].append((nxt_id, nxt, nxt_count))
+                    return label, _witness(graph, parents, tar_id)
+                buckets[label - floor].append(nxt_id)
     return None, None
 
 
@@ -172,10 +155,14 @@ def reachable_at_threshold(
     """BFS over assignments satisfying at least k hyperedges.
 
     Returns (True, shortest witness sequence) when the target is reachable,
-    (False, None) otherwise.  Never approximates: a state space above the
-    budget raises instead.
+    (False, None) otherwise.  Never approximates: unless the endpoints are
+    equal, a state space above the budget raises instead.
     """
-    label, witness = _search(instance, k, k, budget)
+    if instance.psi_ini == instance.psi_tar:  # no move to search, as in maxmin_value
+        if value(instance.graph, instance.psi_ini).satisfied < k:
+            return False, None
+        return True, ReconfigSequence((instance.psi_ini,))
+    label, witness = _search(instance, _count_table(instance.graph, budget), k, k)
     return label is not None, witness
 
 
@@ -191,13 +178,14 @@ def maxmin_value(instance: ReconfInstance, budget: int = DEFAULT_BUDGET) -> Maxm
     if instance.psi_ini == instance.psi_tar:
         v = value(graph, instance.psi_ini)
         return MaxminResult(v, ReconfigSequence((instance.psi_ini,)))
+    counts = _count_table(graph, budget)
     upper = min(value(graph, instance.psi_ini).satisfied, value(graph, instance.psi_tar).satisfied)
     # Threshold 0 admits every state, so the widest-path search always succeeds.
-    best_k, witness = _search(instance, 0, upper, budget)
+    best_k, witness = _search(instance, counts, 0, upper)
     if best_k < upper:
         # Only the top bucket is explored in BFS order; below it, rerun the
         # BFS at the optimum for the shortest witness.
-        _, witness = reachable_at_threshold(instance, best_k, budget)
+        _, witness = _search(instance, counts, best_k, best_k)
     return MaxminResult(Value(best_k, total), witness)
 
 

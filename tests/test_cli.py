@@ -87,8 +87,13 @@ def test_hadamard_path_verify(tmp_path, capsys):
     ["hadamard", "path", "--n", 13, "--alpha", 0, "--beta", 1],
     ["hadamard", "path", "--n", 9, "--alpha", 0, "--beta", 1, "--retries", 0],
     ["experiment", "fig2-profile", "--n", 1],
+    ["hadamard", "partial-sum", "--n", 0],
+    ["hadamard", "partial-sum", "--trials", 0],
+    # at the default --n 128 this would enumerate C(256, 128) arrangements
+    ["hadamard", "partial-sum", "--exhaustive"],
 ], ids=["alpha-too-big", "beta-too-big", "alpha-negative", "alpha-equals-beta",
-        "n-too-small", "n-too-big", "no-retries", "fig2-n-too-small"])
+        "n-too-small", "n-too-big", "no-retries", "fig2-n-too-small",
+        "partial-sum-n-0", "partial-sum-trials-0", "exhaustive-n-128"])
 def test_hadamard_path_input_guards(argv, capsys):
     from reconfcsp.hadamard import codeword_table
 
@@ -109,6 +114,15 @@ def test_hadamard_partial_sum_seeded(tmp_path, capsys):
     assert run("hadamard", "partial-sum", "--n", 128, "--trials", 2000,
                "--seed", 3, "--out", csv_path) == 0
     assert "hits=0" in capsys.readouterr().out
+
+
+def test_env_seed_not_an_integer_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RECONF_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run("generate", "--kind", "cycle", "--vertices", 3, "--alphabet", 2,
+            "--out", tmp_path / "unused.json")
+    assert exc.value.code == 2
+    assert "error: argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_system_flow(tmp_path, capsys):
@@ -169,6 +183,14 @@ _MALFORMED = {
     "system-original-alphabet-string": 'system.json: "original_alphabet" must be an integer >= 2',
     "system-truncated": "system.json: malformed JSON (",
     "walk-truncated": "walk.json: malformed JSON (",
+    "walk-float-symbol": "walk.json: sequence.steps[0].u: symbol 1.5 is not an integer",
+    "walk-symbol-out-of-range": "walk.json: sequence.steps[0]: symbol 7 out of range for vertex 'u'",
+}
+
+_WALKS = {
+    "walk-truncated": '{"steps": [\n',
+    "walk-float-symbol": '{"steps": [{"u": 1.5, "w": 0}]}',
+    "walk-symbol-out-of-range": '{"steps": [{"u": 7, "w": 0}]}',
 }
 
 _SYSTEM_EDITS = {
@@ -204,9 +226,9 @@ def test_malformed_sigma_and_system_files_exit_2(tmp_path, capsys, case):
         system_json.write_text(system_json.read_text()[:40])
     if case == "system-without-n":
         argv = ["compose", "--system", sys_dir, "--out", tmp_path / "composed"]
-    elif case == "walk-truncated":
+    elif case in _WALKS:
         walk = tmp_path / "walk.json"
-        walk.write_text('{"steps": [\n')
+        walk.write_text(_WALKS[case])
         argv = ["pipeline", "--instance", inst_path, "--mode", "micro", "--path", walk]
     elif case.startswith("system-"):
         argv = ["verify-sequence", "--system", sys_dir, "--sigma", _sigma_file(tmp_path, {"steps": [good]})]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -132,6 +133,11 @@ def test_superimpose_input_validation():
     t1b = reference_tester([0b000], t1.x_vars, "y1")
     with pytest.raises(InstanceError, match="disjoint"):
         superimpose(t1, t1b)
+    t2 = reference_tester([0b000], t1.x_vars, "y2")
+    g = t2.graph
+    looped = ConstraintGraph(2, g.vertices, (("y2", "y2"),), 2, ({(0, 0)},), g.vertex_alphabets)
+    with pytest.raises(InstanceError, match="two distinct vertices"):
+        superimpose(t1, dataclasses.replace(t2, graph=looped))
 
 
 def test_pad_edge_groups_round_robin():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,13 +11,16 @@ from reconfcsp.core import (
     ConstraintGraph,
     ReconfInstance,
     Value,
+    sequence_to_obj,
     sequence_value,
     validate_sequence,
     value,
 )
 from reconfcsp.solver import (
     BudgetExceededError,
+    _count_table,
     dfs_maxmin,
+    generate_instance,
     maxmin_value,
     random_adversarial_sequence,
     reachable_at_threshold,
@@ -172,3 +177,82 @@ def test_threshold_monotonicity_and_dfs_agreement(inst):
 @settings(max_examples=25, deadline=None)
 def test_maxmin_swap_symmetry(inst):
     assert maxmin_value(inst).optimum == maxmin_value(inst.swapped()).optimum
+
+
+@st.composite
+def count_graphs(draw):
+    """Graphs of arity 1-4 with repeated vertices, alphabets 1-3 and duplicate hyperedges."""
+    q = draw(st.integers(1, 4))
+    names = tuple(f"v{i}" for i in range(draw(st.integers(1, 4))))
+    sizes = {v: draw(st.integers(1, 3)) for v in names}
+    edges, accepts = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        edge = tuple(draw(st.sampled_from(names)) for _ in range(q))
+        space = list(itertools.product(*(range(sizes[v]) for v in edge)))
+        accepted = draw(st.sets(st.sampled_from(space)))  # empty sets included
+        for _ in range(draw(st.integers(1, 2))):
+            edges.append(edge)
+            accepts.append(accepted)
+    return ConstraintGraph(q, names, tuple(edges), 2, tuple(accepts), vertex_alphabets=sizes)
+
+
+@given(count_graphs())
+@example(
+    # one accepted tuple disagrees on the repeated vertex and matches no state
+    ConstraintGraph(3, ("v0", "v1"), (("v1", "v0", "v1"),) * 2, 2,
+                    (frozenset({(0, 1, 0), (1, 0, 0)}),) * 2, vertex_alphabets={"v0": 3})
+)
+@settings(max_examples=80, deadline=None)
+def test_count_table_matches_value(graph):
+    counts = _count_table(graph, state_space_size(graph))
+    sizes = [graph.alphabet_of(v) for v in graph.vertices]
+    assert len(counts) == state_space_size(graph)
+    # a state id is mixed-radix with vertex 0 least significant
+    states = itertools.product(*(range(s) for s in reversed(sizes)))
+    for state_id, symbols in enumerate(states):
+        psi = Assignment(dict(zip(reversed(graph.vertices), symbols)))
+        assert counts[state_id] == value(graph, psi).satisfied
+
+
+def test_alphabet_one_vertices_get_no_axis():
+    # as axes, 70 one-symbol vertices would exceed numpy's 64 array dimensions
+    names = tuple(f"u{i}" for i in range(70)) + ("a", "b")
+    edges = (("a", "u0"), ("u1", "u2"), ("b", "u69"))
+    graph = ConstraintGraph(2, names, edges, 1, ({(0, 0), (1, 0)}, {(0, 0)}, {(0, 0), (1, 0)}),
+                            vertex_alphabets={"a": 2, "b": 2})
+    ini = Assignment(dict.fromkeys(names, 0))
+    inst = ReconfInstance(graph, ini, ini.with_value("a", 1).with_value("b", 1))
+    result = maxmin_value(inst)
+    assert result.optimum == Value(3, 3) == dfs_maxmin(inst)
+    assert len(result.witness.steps) == 3
+
+
+def _witness_digest(instances, thresholds) -> str:
+    """SHA-256 of the witnesses as `solve --witness-out` writes them."""
+    digest = hashlib.sha256()
+    for inst in instances:
+        witnesses = [maxmin_value(inst).witness]
+        witnesses += [reachable_at_threshold(inst, k)[1] for k in thresholds(inst)]
+        for seq in witnesses:
+            obj = None if seq is None else sequence_to_obj(seq, inst.graph.vertices)
+            digest.update((json.dumps(obj, indent=2) + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_witnesses_are_pinned():
+    satisfiable = [
+        generate_instance("cycle", 4, 16, seed, True, walk_length=32, extra_tuples=60)[0]
+        for seed in range(1, 13)
+    ]
+    assert _witness_digest(satisfiable, lambda inst: [3]) == (
+        "9c59919882b2f4db0fe1540ee32a3c4d0da3f65ec573b2c810a590d3448ed83c"
+    )
+    # the BFS at every threshold, which maxmin_value reruns below the endpoints' values
+    unsatisfiable = [
+        generate_instance(kind, 5, 3, seed, satisfiable=False, edge_count=7)[0]
+        for seed in range(8)
+        for kind in ("random", "cycle")
+    ]
+    assert _witness_digest(unsatisfiable, lambda inst: range(len(inst.graph.edges) + 1)) == (
+        "d4421e8d8a36758f490251be1c1bc8ecdf7f97308e5dd425bd46135cd5220570"
+    )
