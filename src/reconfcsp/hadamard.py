@@ -6,12 +6,15 @@ bit of f at x is `(bits >> x) & 1`.  The codeword of alpha has bit
 parity(alpha & x) at position x; distinct codewords sit at relative
 distance exactly 1/2.
 
-Distances to all 2^n codewords come from one kernel over a cached uint64
-word matrix: `codeword_distances` popcounts a block against every codeword
-at once, and `path_distances` gives the whole (step x codeword) matrix of a
-single-bit path by a cumulative sum of per-flip +-1 updates (the
-Walsh-Hadamard identity W_f(gamma) = 2^n - 2 dist(f, had(gamma)) in Hamming
-units).  Path checks, distance profiles and block decoding read from them.
+Distances to all 2^n codewords come from a popcount kernel over a cached
+uint64 word matrix, or from +-1 updates: flipping bit x moves the distance
+to had(gamma) by +-(-1)^(x.gamma), row x of the cached Hadamard sign table
+(the Walsh-Hadamard identity W_f(gamma) = 2^n - 2 dist(f, had(gamma)) in
+Hamming units).  `codeword_distances` updates the distances of a recently
+answered block a few bits away and popcounts otherwise; `path_distances`
+gives the whole (step x codeword) matrix of a single-bit path by a
+cumulative sum of updates.  Path checks, distance profiles and block
+decoding read from them.
 """
 
 from __future__ import annotations
@@ -68,13 +71,18 @@ class BitFunction:
 MAX_N = 12
 
 
-@lru_cache(maxsize=None)
-def codeword_table(n: int) -> tuple[int, ...]:
-    """All 2^n codewords as raw bit blocks, indexed by the encoded vector."""
+def _parity_grid(n: int) -> np.ndarray:
+    """(2^n, 2^n) uint8 matrix with entry [alpha, x] = parity(alpha & x); symmetric."""
     x = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
     parity = np.bitwise_count(x[:, None] & x)
     parity &= 1
-    rows = np.packbits(parity, axis=1, bitorder="little")
+    return parity
+
+
+@lru_cache(maxsize=None)
+def codeword_table(n: int) -> tuple[int, ...]:
+    """All 2^n codewords as raw bit blocks, indexed by the encoded vector."""
+    rows = np.packbits(_parity_grid(n), axis=1, bitorder="little")
     return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
 
@@ -93,11 +101,64 @@ def codeword_words(n: int) -> np.ndarray:
     return matrix
 
 
+@lru_cache(maxsize=None)
+def hadamard_signs(n: int) -> np.ndarray:
+    """Read-only (2^n, 2^n) int8 matrix with entry [x, gamma] = (-1)^(x.gamma).
+
+    Row x is how flipping bit x from 0 to 1 moves the distance to each
+    codeword (the negated row for a flip from 1 to 0): 256 KiB at n = 9,
+    16 MiB at n = 12, built on first use.
+    """
+    signs = _parity_grid(n).view(np.int8)
+    signs *= -2
+    signs += 1
+    signs.flags.writeable = False
+    return signs
+
+
+# Per n, up to _MEMO_SIZE (bits, distances) pairs that `codeword_distances`
+# returned recently, oldest first.  A block at most _MEMO_FLIPS bits from one
+# of them is answered from the nearest by one sign row per flipped bit and
+# takes its place, so each walk in progress holds one entry; any other block
+# is popcounted and evicts the oldest.  Each n's tuple of exact pairs is
+# replaced whole, so concurrent callers can lose each other's entries but
+# never read a wrong one.
+_MEMO_SIZE = 8
+_MEMO_FLIPS = 4
+_memo: dict[int, tuple[tuple[int, np.ndarray], ...]] = {}
+
+
 def codeword_distances(n: int, bits: int) -> np.ndarray:
-    """Hamming distance from the 2^n-bit block `bits` to every codeword, indexed by symbol."""
-    table = codeword_words(n)
-    block = np.frombuffer(bits.to_bytes(8 * len(table), "little"), dtype="<u8")
-    return np.bitwise_count(table ^ block[:, None]).sum(axis=0, dtype=np.int32)
+    """Hamming distance from the 2^n-bit block `bits` to every codeword, indexed by symbol.
+
+    The int32 result is read-only, since later calls may return it again.
+    """
+    memo = _memo.get(n, ())
+    near, flips = -1, _MEMO_FLIPS + 1
+    for i, (known, dist) in enumerate(memo):
+        k = (known ^ bits).bit_count()
+        if k < flips:
+            near, flips = i, k
+    if flips == 0:
+        return memo[near][1]
+    if near < 0:
+        table = codeword_words(n)
+        block = np.frombuffer(bits.to_bytes(8 * len(table), "little"), dtype="<u8")
+        dist = np.bitwise_count(table ^ block[:, None]).sum(axis=0, dtype=np.int32)
+        kept = memo[1 - _MEMO_SIZE:]
+    else:
+        known, dist = memo[near]
+        signs = hadamard_signs(n)
+        delta = known ^ bits
+        while delta:
+            low = delta & -delta
+            row = signs[low.bit_length() - 1]
+            dist = dist + row if bits & low else dist - row
+            delta ^= low
+        kept = memo[:near] + memo[near + 1:]
+    dist.flags.writeable = False
+    _memo[n] = kept + ((bits, dist),)
+    return dist
 
 
 def had_encode(alpha: int, n: int) -> BitFunction:
@@ -201,10 +262,10 @@ def build_path(alpha: int, beta: int, n: int, flip_order: Sequence[int]) -> Code
 def path_distances(path: CodewordPath) -> np.ndarray:
     """(steps, 2^n) int32 matrix whose entry [t, gamma] is the distance of step t to had(gamma).
 
-    Row 0 is one kernel call; flipping position x of f then changes the
-    distance to gamma by (-1)^(f(x) + gamma.x), and because the Hadamard
-    matrix is symmetric those signs are the codeword of x.  Every step must
-    change exactly one bit.
+    Row 0 is one `codeword_distances` call; flipping position x of f then
+    changes the distance to gamma by (-1)^(f(x) + gamma.x), that is by row x
+    of `hadamard_signs`, negated where f(x) was 1.  Every step must change
+    exactly one bit.
     """
     n, steps = path.n, path.steps
     positions, before = [], []
@@ -218,12 +279,8 @@ def path_distances(path: CodewordPath) -> np.ndarray:
     dist = np.empty((len(steps), 1 << n), dtype=np.int32)
     dist[0] = codeword_distances(n, steps[0].bits)
     if positions:
-        rows = np.ascontiguousarray(codeword_words(n)[:, positions].T).view(np.uint8)
-        flips = np.unpackbits(rows, axis=1, count=1 << n, bitorder="little")
-        flips ^= np.array(before, dtype=np.uint8)[:, None]  # 1 where the flip moves closer
-        dist[1:] = flips
-        dist[1:] *= -2
-        dist[1:] += 1
+        dist[1:] = hadamard_signs(n)[positions]
+        dist[1:] *= 1 - 2 * np.array(before, dtype=np.int32)[:, None]
         np.cumsum(dist, axis=0, out=dist)
     return dist
 

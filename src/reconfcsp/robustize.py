@@ -2,9 +2,10 @@
 
 Each vertex of the source graph gets a block of 2^n Boolean variables; each
 edge gets a circuit that list-decodes the two blocks from their distances
-to all 2^n codewords (one `hadamard.codeword_distances` kernel call per
-block, behind a bounded cache) and checks the decoded pairs against the
-source constraint.  Circuits stay semantic (a predicate over two blocks);
+to all 2^n codewords (one `hadamard.codeword_distances` call per block,
+behind a bounded cache; along a walk each is a +-1 update of the previous
+block's distances) and checks the decoded pairs against the source
+constraint.  Circuits stay semantic (a predicate over two blocks);
 only the micro oracle ever materializes their truth tables, and only for
 n <= 3.
 """
@@ -277,12 +278,13 @@ def adversarial_block_sequence(
         v = rng.choice(vertices)
         current = current.flip(v, rng.randrange(length))
         walk.append(current)
-    diffs = [
-        (v, x)
-        for v in vertices
-        for x in range(length)
-        if current.blocks[v].bit(x) != system.sigma_tar.blocks[v].bit(x)
-    ]
+    diffs = []
+    for v in vertices:
+        delta = current.blocks[v].bits ^ system.sigma_tar.blocks[v].bits
+        while delta:
+            low = delta & -delta
+            diffs.append((v, low.bit_length() - 1))
+            delta ^= low
     rng.shuffle(diffs)
     for v, x in diffs:
         current = current.flip(v, x)
@@ -487,6 +489,8 @@ def read_block_sequence(system: CircuitSystem, path: str | Path) -> list[BlockAs
     raw = read_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("steps"), list):
         raise InstanceError(f'{path}: expected an object with a "steps" list')
+    if not raw["steps"]:
+        raise InstanceError(f'{path}: "steps" must not be empty')
     return [
         blocks_from_obj(system.n, obj, system.graph.vertices, f"{path} step {t}")
         for t, obj in enumerate(raw["steps"])
@@ -519,6 +523,11 @@ def read_system(directory: str | Path) -> CircuitSystem:
         for i, e in enumerate(obj["edges"]):
             if type(e["id"]) is not int:
                 raise ValueError(f'edges[{i}]: "id" must be an integer, got {e["id"]!r:.40}')
+            for t, row in enumerate(e["accept"]):
+                if type(row) is not list or set(map(type, row)) - {int}:
+                    raise ValueError(
+                        f"edges[{i}].accept[{t}]: expected a list of integers, got {row!r:.40}"
+                    )
         vertices = tuple(obj["vertices"])
         edges = tuple(tuple(e["vertices"]) for e in obj["edges"])
         accepts = tuple(frozenset(map(tuple, e["accept"])) for e in obj["edges"])

@@ -174,6 +174,8 @@ _MALFORMED = {
     "block-too-long": "step 1: vertex 'u': block 'ff'",
     "step-missing-vertex": "step 1: missing vertex 'w'",
     "no-steps": 'expected an object with a "steps" list',
+    # an empty sequence has no step to verify, so it must not pass
+    "steps-empty": '"steps" must not be empty',
     "system-without-n": "system.json: missing key 'n'",
     # a 2^24-bit block would build a 2^48-position codeword table
     "system-n-too-big": 'system.json: "n" must be an integer in 2..12, got 24',
@@ -181,6 +183,8 @@ _MALFORMED = {
     "system-weakened-string": 'system.json: "weakened" must be true or false, got \'no\'',
     "system-id-float": 'system.json: edges[0]: "id" must be an integer, got 2.5',
     "system-original-alphabet-string": 'system.json: "original_alphabet" must be an integer >= 2',
+    # false would load as the symbol 0
+    "system-accept-bool": "system.json: edges[0].accept[1]: expected a list of integers, got [3, False]",
     "system-truncated": "system.json: malformed JSON (",
     "walk-truncated": "walk.json: malformed JSON (",
     "walk-float-symbol": "walk.json: sequence.steps[0].u: symbol 1.5 is not an integer",
@@ -199,6 +203,7 @@ _SYSTEM_EDITS = {
     "system-weakened-string": lambda obj: obj.update(weakened="no"),
     "system-id-float": lambda obj: obj["edges"][0].update(id=2.5),
     "system-original-alphabet-string": lambda obj: obj.update(original_alphabet="x"),
+    "system-accept-bool": lambda obj: obj["edges"][0]["accept"].append([3, False]),
 }
 
 
@@ -216,6 +221,7 @@ def test_malformed_sigma_and_system_files_exit_2(tmp_path, capsys, case):
         "block-not-string": [good, {**good, "u": 5}],
         "block-too-long": [good, {**good, "u": "ff"}],
         "step-missing-vertex": [good, {"u": good["u"]}],
+        "steps-empty": [],
     }
     system_json = sys_dir / "system.json"
     if case in _SYSTEM_EDITS:

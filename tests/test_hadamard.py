@@ -1,10 +1,16 @@
 import itertools
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reconfcsp import hadamard
 from reconfcsp.constants import FARNESS_MARGIN, QUARTER
 from reconfcsp.hadamard import (
     BitFunction,
@@ -262,6 +268,105 @@ def test_path_distances_reject_multi_bit_step():
     path = CodewordPath(3, 0, 1, (a, b), ())
     with pytest.raises(ValueError, match="changes 4 bits"):
         path_distances(path)
+
+
+# ---------------------------------------------------------------------------
+# Incremental distances along walks against the same scan
+# ---------------------------------------------------------------------------
+
+
+def walk_blocks(n: int, seed: int, steps: int, chains: int):
+    """Blocks of `chains` seeded walks, interleaved at random.
+
+    Each step single-bit flips (most often), jumps a few bits within the
+    memo's limit or beyond it, returns to a block the walks visited earlier,
+    or repeats the current block.
+    """
+    rng = stream(seed, "incremental-walk", n, chains)
+    length = 1 << n
+    heads = [rng.getrandbits(length) for _ in range(chains)]
+    seen = list(heads)
+    limit = hadamard._MEMO_FLIPS
+    for _ in range(steps):
+        c = rng.randrange(chains)
+        move = rng.random()
+        if move < 0.6:
+            heads[c] ^= 1 << rng.randrange(length)
+        elif move < 0.85:
+            k = rng.randint(2, limit) if move < 0.75 else rng.randint(limit + 1, 2 * limit + 2)
+            for x in rng.sample(range(length), min(k, length)):
+                heads[c] ^= 1 << x
+        elif move < 0.93:
+            heads[c] = rng.choice(seen)
+        seen.append(heads[c])
+        yield heads[c]
+
+
+@pytest.mark.parametrize("chains", [1, 4, 12])
+def test_incremental_distances_match_scan_on_walks(chains):
+    for n in range(2, 11):
+        hadamard._memo.clear()
+        for bits in walk_blocks(n, 11, 150, chains):
+            assert codeword_distances(n, bits).tolist() == scan_distances(n, bits)
+
+
+def test_near_block_takes_the_place_of_its_source():
+    hadamard._memo.clear()
+    bits = had_encode(5, 9).bits
+    codeword_distances(9, bits)
+    for x in (3, 100, 511, 3, 7, 8, 9, 10):
+        bits ^= 1 << x
+        assert codeword_distances(9, bits).tolist() == scan_distances(9, bits)
+    assert len(hadamard._memo[9]) == 1
+    far = bits ^ 0b11111  # five bits away: beyond the limit, popcounted afresh
+    assert codeword_distances(9, far).tolist() == scan_distances(9, far)
+    assert len(hadamard._memo[9]) == 2
+
+
+def test_memo_stays_bounded_and_results_are_read_only():
+    hadamard._memo.clear()
+    for bits in walk_blocks(6, 3, 10_000, 12):
+        dist = codeword_distances(6, bits)
+        assert not dist.flags.writeable
+        assert len(hadamard._memo[6]) <= hadamard._MEMO_SIZE
+    assert dist.tolist() == scan_distances(6, bits)
+    with pytest.raises(ValueError, match="read-only"):
+        dist[0] = 0
+
+
+def test_concurrent_walks_read_exact_distances():
+    def walk(chains, errors):
+        try:
+            for bits in walk_blocks(7, 5, 400, chains):
+                if codeword_distances(7, bits).tolist() != scan_distances(7, bits):
+                    errors.append(bits)
+        except Exception as exc:  # a thread's exception would otherwise be lost
+            errors.append(exc)
+
+    errors = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(c, errors)) for c in (1, 2, 3, 4, 5, 6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+def test_sign_table_is_built_on_first_use_not_at_import():
+    code = (
+        "import reconfcsp.cli, reconfcsp.hadamard as h;"
+        "print(h.hadamard_signs.cache_info().currsize, h.codeword_table.cache_info().currsize)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.stdout.split() == ["0", "0"], done.stderr
 
 
 def test_find_close_step_matches_scan_all_orders_n3():

@@ -41,7 +41,7 @@ from reconfcsp.robustize import (
     single_bit_change,
     write_system,
 )
-from reconfcsp import solver
+from reconfcsp import hadamard, solver
 from reconfcsp.seeding import stream
 
 from conftest import single_edge
@@ -232,12 +232,19 @@ def test_decode_profile_matches_scan_on_exact_ties():
         for trial in range(6):
             alpha, beta = rng.sample(range(1 << n), 2)
             path = generate_codeword_path(alpha, beta, n, seed=trial)
-            mid = path.steps[len(path.steps) // 2]
+            half = len(path.steps) // 2
+            mid = path.steps[half]
             assert hamming(mid, had_encode(alpha, n)) == hamming(mid, had_encode(beta, n))
             assert hamming(mid, had_encode(alpha, n)) == 1 << (n - 2)
-            for radius in (0, quarter_radius(n), clause_two_radius(n)):
-                expected = scan_decode_profile(n, mid.bits, radius)
-                assert _decode_profile(n, mid.bits, radius) == expected
+            # the midpoint popcounted afresh, then reached one bit at a time from had(alpha)
+            for approach in ((), path.steps[:half]):
+                _decode_profile.cache_clear()
+                hadamard._memo.clear()
+                for step in approach:
+                    _decode_profile(n, step.bits, 0)
+                for radius in (0, quarter_radius(n), clause_two_radius(n)):
+                    expected = scan_decode_profile(n, mid.bits, radius)
+                    assert _decode_profile(n, mid.bits, radius) == expected
             if n == 9:  # no third codeword is as close: the tie goes to the smaller symbol
                 assert decode_block(mid) == min(alpha, beta)
 
