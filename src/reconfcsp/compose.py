@@ -474,23 +474,21 @@ def _valid_cell_symbols(cell: CellInfo, distinct: tuple[str, ...], ok: np.ndarra
     return np.sort(sum(k * s for k, s in zip(np.nonzero(ok), vertex_strides)))
 
 
-def _cell_edge_rows(
-    valid: np.ndarray, stride: int, pairs: Sequence[tuple[int, int]]
+def _cell_edge_codes(
+    valid: np.ndarray, stride: int, pairs: Sequence[tuple[int, int]], size: int
 ) -> np.ndarray:
-    """Accepted (cell value, endpoint value) rows of one cell-to-coordinate edge.
+    """Codes `sym * size + value` of one cell-to-coordinate edge's accepted tuples.
 
     Cell value `sym` holds pair (sym // stride) % len(pairs) at the
     coordinate and is accepted with either value of that pair.  With `valid`
-    ascending and each pair (a, b) having a <= b, the rows (sym, a) then, if
-    b differs, (sym, b) come out in lexicographic order.
+    ascending and each pair (a, b) having a <= b, the codes of (sym, a) then,
+    if b differs, (sym, b) come out strictly increasing.
     """
-    lo, hi = np.array(pairs, dtype=np.int64).T
-    index = (valid // stride) % len(pairs)
-    a, b = lo[index], hi[index]
-    rows = np.stack([valid, a, valid, b], axis=1).reshape(-1, 2)
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1::2] = a != b
-    return rows[keep]
+    pair = np.array(pairs, dtype=np.int64)[(valid // stride) % len(pairs)]
+    codes = valid[:, None] * size + pair
+    keep = np.ones(codes.shape, dtype=bool)
+    keep[:, 1] = pair[:, 0] != pair[:, 1]
+    return codes[keep]
 
 
 # Largest coordinate-value product space held as one boolean accept table.
@@ -563,7 +561,9 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
         if key not in edge_sets:
             valid = _valid_cell_symbols(cell, *graph.vertex_table(j))
             edge_sets[key] = [
-                AcceptSet(_cell_edge_rows(valid, stride, pl), (cell.alphabet, size))
+                AcceptSet.from_codes(
+                    _cell_edge_codes(valid, stride, pl, size), (cell.alphabet, size)
+                )
                 for stride, pl, size in zip(cell.strides(), cell.pair_lists, acc.sizes)
             ]
         for i, (v, edge_set) in enumerate(zip(edge, edge_sets[key])):

@@ -578,7 +578,10 @@ def graph_from_obj(obj: dict, where: str = "instance") -> ConstraintGraph:
         if set(map(type, edge)) - {str}:
             raise InstanceError(f"{path}.vertices: vertex ids must be strings")
         edges.append(edge)
-        accepts.append(_accept_rows(_require(entry, "accept", path, list), q, f"{path}.accept"))
+        rows = entry.get("accept")
+        if type(rows) is not np.ndarray:  # arrays come from `_written_layout` only
+            rows = _accept_rows(_require(entry, "accept", path, list), q, f"{path}.accept")
+        accepts.append(rows)
     try:
         return ConstraintGraph(
             q=q,
@@ -607,11 +610,99 @@ def _assignment_from_obj(obj: dict, key: str, graph: ConstraintGraph, where: str
     return psi
 
 
-def deserialize(text: str) -> ReconfInstance:
+# How `serialize` opens and closes a non-empty accept list, and what replaces it.
+_ACCEPT_KEY = b'\n      "accept": [\n'
+_ACCEPT_CLOSE = b"\n      ]"
+_CUT = '"\\u0000"'
+
+
+def _written_layout(text: str) -> dict | None:
+    """The instance object, accept lists read as (count, q) int64 arrays, or None.
+
+    This reads only text laid out as `serialize` writes it.  Each accept
+    list opened by the key at six spaces of indentation, which an escaped
+    `\\"accept` inside a string cannot be, is cut out and replaced by the
+    string "\\u0000"; `json.loads` parses the small remainder, and the cuts
+    must be exactly the edges' accept values, in order.  A cut list is read
+    only if, with its digits deleted, it is the canonical skeleton of its
+    row count and the arity, and its symbols are 1-18 digits without a
+    leading zero, one per slot.  The symbols are the digit runs of the
+    text's bytes, found with numpy a list at a time and parsed a decimal
+    place at a time.  On anything else this returns None and `deserialize`
+    parses the text whole, so every error is reported as before.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    starts, ends, pieces, prev = [], [], [], 0
+    at = data.find(_ACCEPT_KEY)
+    while at >= 0:
+        # the list's "]" is the last one at six spaces before its edge's "}"
+        start, brace = at + len(_ACCEPT_KEY) - 1, data.find(b"}", at)
+        end = data.rfind(_ACCEPT_CLOSE, start, brace) + len(_ACCEPT_CLOSE)
+        if brace < 0 or end <= start:
+            return None
+        pieces += (text[prev : start - 1], _CUT)
+        starts.append(start)
+        ends.append(end)
+        prev = end
+        at = data.find(_ACCEPT_KEY, end)
+    if not starts:
+        return None
+    remainder = "".join(pieces) + text[prev:]
+    if remainder.count("\\u0000") != len(starts):  # so every "\0" string is a cut
+        return None
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"instance: malformed field ({exc})") from exc
+        obj = json.loads(remainder)
+    except ValueError:  # malformed, or an integer too long to convert: reported whole
+        return None
+    q, edges = (obj.get("arity"), obj.get("edges")) if type(obj) is dict else (None, None)
+    if type(q) is not int or type(edges) is not list:
+        return None
+    holders = [edge for edge in edges if type(edge) is dict and edge.get("accept") == "\0"]
+    if len(holders) != len(starts) or not 1 <= q <= len(data) // 12:  # a row fits the text
+        return None
+    row = b"\n        [" + b",".join([b"\n          "] * q) + b"\n        ]"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    skeletons, counts, flips = {}, [], []
+    for start, end in zip(starts, ends):
+        skeleton = data[start:end].translate(None, b"0123456789")
+        rows = (len(skeleton) - 7) // (len(row) + 1)
+        if rows not in skeletons:
+            skeletons[rows] = b",".join([row] * rows) + b"\n      ]"
+        # a list starts with a line break and ends with "]": each digit run flips twice
+        digit = (buf[start:end] - ord("0")) < 10
+        flips.append(np.flatnonzero(digit[1:] != digit[:-1]) + (start + 1))
+        if skeleton != skeletons[rows] or len(flips[-1]) != 2 * rows * q:
+            return None
+        counts.append(rows * q)
+    flips = np.concatenate(flips)
+    first, stop = flips[0::2], flips[1::2]
+    length, follow = stop - first, buf[stop]
+    # one run per slot: after the slot's indentation, before a "," or a line break
+    if (
+        length.max(initial=1) > 18
+        or ((length > 1) & (buf[first] == ord("0"))).any()
+        or not (buf[first - 1] == ord(" ")).all()
+        or not ((follow == ord(",")) | (follow == ord("\n"))).all()
+    ):
+        return None
+    symbols = np.zeros(len(first), dtype=np.int64)
+    for place in range(int(length.max(initial=0))):
+        more = length > place
+        symbols = np.where(more, symbols * 10 + (buf[first + place * more] - ord("0")), symbols)
+    for edge, part in zip(holders, np.split(symbols, np.cumsum(counts)[:-1])):
+        edge["accept"] = part.reshape(-1, q)
+    return obj
+
+
+def deserialize(text: str) -> ReconfInstance:
+    obj = _written_layout(text)
+    if obj is None:
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InstanceError(f"instance: malformed field ({exc})") from exc
     if not isinstance(obj, dict):
         raise InstanceError("instance: malformed field (top level must be an object)")
     graph = graph_from_obj(obj, "instance")

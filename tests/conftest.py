@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from reconfcsp.core import Assignment, ConstraintGraph, ReconfInstance
+
+
+# `pytest --hypothesis-profile=ci` runs property tests that set no example count of
+# their own, among them the instance readers' differential test, ten times longer.
+settings.register_profile("ci", max_examples=1000)
 
 
 def triangle_equality(alphabet: int = 2) -> ReconfInstance:

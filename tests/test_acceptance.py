@@ -39,8 +39,9 @@ from reconfcsp.seeding import stream
 from conftest import single_edge, triangle_equality
 
 
-def report(criterion: int, text: str) -> None:
-    print(f"ACCEPTANCE {criterion:02d} PASS: {text}")
+def report(criterion: int | str, text: str) -> None:
+    label = f"{criterion:02d}" if isinstance(criterion, int) else criterion
+    print(f"ACCEPTANCE {label} PASS: {text}")
 
 
 def test_criterion_01_codeword_path_verification():
@@ -335,6 +336,39 @@ def test_criterion_10_micro_value_accounting():
     report(10, "10 micro pipelines: every oracle-confirmed stage with a satisfying "
                "sequence reports value 1; 4-ary->binary obeys the factor-4 bound "
                "(headline constants appear in reports only, labeled theoretical)")
+
+
+def test_arity_reduction_soundness_along_adversarial_walks():
+    """Arity reduction loses no violation, step by step, on the micro corpus.
+
+    Along seeded adversarial walks on each binary instance, every hyperedge
+    that the step's restriction to source vertices violates on the 4-ary
+    instance has a violated binary edge among its cell's four, so the binary
+    violation count is at least the 4-ary one.  Random cell values rarely
+    land on a wrongly admitted one, so the same is asserted with every cell
+    set to the singleton of its hyperedge's current tuple.
+    """
+    steps = 0
+    for inst in _micro_pipeline_corpus():
+        composed = compose_mod.compose_system(rb.robustize(inst)).instance
+        reduction = compose_mod.arity_reduce(composed)
+        four, binary = composed.graph, reduction.instance.graph
+        for seed in range(2):
+            for step in solver.random_adversarial_sequence(reduction.instance, seed).steps:
+                lifted = dict(step.values)
+                for cell in reduction.cells:
+                    lifted[cell.name] = cell.singleton([step.values[v] for v in cell.vertices])
+                violated = [j for j in range(len(four.edges)) if not four.edge_satisfied(j, step)]
+                for psi in (step, Assignment(lifted)):
+                    for j in violated:
+                        assert any(
+                            not binary.edge_satisfied(4 * j + i, psi) for i in range(4)
+                        ), (seed, j)
+                steps += 1
+    assert steps > 1000
+    report("D-arity", f"{steps} adversarial binary steps on 10 micro-corpus instances: "
+                      "every violated 4-ary hyperedge violates a binary edge of its cell, "
+                      "with the walk's cells and with singleton cells")
 
 
 def test_criterion_11_solver_self_consistency():

@@ -1,13 +1,16 @@
 import itertools
 import json
+import re
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from reconfcsp import core
 from reconfcsp.core import (
     AcceptSet,
     Assignment,
@@ -246,6 +249,105 @@ def test_deserialize_unknown_vertex(triangle):
     obj["edges"][0]["vertices"] = ["a", "zzz"]
     with pytest.raises(InstanceError, match="unknown vertex"):
         deserialize(json.dumps(obj))
+
+
+# ---------------------------------------------------------------------------
+# The reader's fast path for the layout `serialize` writes
+# ---------------------------------------------------------------------------
+
+_SYMBOL = re.compile(r"\n {10}(\d+)")
+
+# Replacements for one written symbol; "{}" is the symbol's digits.
+_SYMBOL_EDITS = ["0{}", "-{}", "{}.0", "{}e0", "true", "null", '"{}"', "", "{} 1", "[{}]",
+                 "9" * 18, "1" * 19, "9" * 19, "9" * 25]
+
+
+@st.composite
+def reader_documents(draw):
+    """Instance text that one reader or the other may take: written, re-dumped or edited."""
+    inst = draw(writer_instances())
+    text = serialize(inst)
+    obj = json.loads(text)
+    q, edges = obj["arity"], obj["edges"]
+    full = [edge for edge in edges if edge["accept"]]
+    assume(full)  # a document without a written accept list never takes the fast path
+    kind = draw(st.sampled_from([
+        "written", "dumped", "symbol", "row length", "key order", "vertex key",
+        "top-level key", "cut marker", "duplicate key", "text edit", "moved symbol",
+        "truncated",
+    ]))
+    if kind == "written":
+        return text
+    if kind == "dumped":
+        indent = draw(st.sampled_from([None, 0, 1, 2, 4, "\t"]))
+        return json.dumps(obj, indent=indent, ensure_ascii=draw(st.booleans()))
+    if kind == "duplicate key":
+        first = re.search(r'\n      "accept": \[\n.*?\n      \]', text, re.S)
+        return text[: first.end()] + "," + first.group(0) + text[first.end() :]
+    if kind == "text edit":
+        symbol = draw(st.sampled_from(list(_SYMBOL.finditer(text))))
+        edit = draw(st.sampled_from(_SYMBOL_EDITS)).format(symbol.group(1))
+        return text[: symbol.start(1)] + edit + text[symbol.end(1) :]
+    if kind == "moved symbol":  # from its line to just after the row's "]"
+        symbol = draw(st.sampled_from(list(_SYMBOL.finditer(text))))
+        text = text[: symbol.start(1)] + text[symbol.end(1) :]
+        at = text.index("]", symbol.start(1)) + 1
+        return text[:at] + symbol.group(1) + text[at:]
+    if kind == "truncated":
+        return text[: draw(st.integers(0, len(text)))]
+    if kind == "symbol":
+        row = draw(st.sampled_from(draw(st.sampled_from(full))["accept"]))
+        row[draw(st.integers(0, q - 1))] = draw(st.sampled_from(
+            [True, False, 1.5, -1, 2**63, 2**64, 10**18, 10**18 - 1, None, "0", [0]]
+        ))
+    elif kind == "row length":
+        row = draw(st.sampled_from(draw(st.sampled_from(full))["accept"]))
+        if draw(st.booleans()):
+            row.append(0)
+        else:
+            row.pop()
+    elif kind == "key order":
+        i = draw(st.integers(0, len(edges) - 1))
+        if draw(st.booleans()):
+            edges[i] = {"accept": edges[i]["accept"], "vertices": edges[i]["vertices"]}
+        edges[i]["note"] = draw(st.sampled_from(['"accept": [', "}", [[1] * q], 7]))
+    elif kind == "vertex key":
+        i = draw(st.integers(0, len(obj["vertices"]) - 1))
+        entry = obj["vertices"][i]
+        entry = dict(entry) if type(entry) is dict else {"name": entry}
+        obj["vertices"][i] = {**entry, "accept": [[0] * q]}
+    elif kind == "top-level key":
+        obj["notes"] = [{"accept": [[1] * q]}, {"name": '"accept": ['}]
+    elif kind == "cut marker":
+        edges[draw(st.integers(0, len(edges) - 1))]["accept"] = "\0"
+    return json.dumps(obj, indent=2)
+
+
+def _read(text: str):
+    try:
+        return deserialize(text)
+    except InstanceError as exc:
+        return f"InstanceError: {exc}"
+
+
+@settings(deadline=None)  # max_examples comes from the Hypothesis profile
+@given(reader_documents())
+def test_fast_and_slow_readers_agree(text):
+    event("fast path" if core._written_layout(text) is not None else "slow path")
+    with mock.patch.object(core, "_written_layout", lambda text: None):
+        slow = _read(text)
+    assert _read(text) == slow
+
+
+def test_written_pipeline_instances_take_the_fast_path():
+    from reconfcsp.compose import arity_reduce, compose_system
+    from reconfcsp.robustize import robustize
+
+    composed = compose_system(robustize(single_edge({(0, 1), (1, 1)}, 4, (0, 1), (1, 1))))
+    binary = arity_reduce(composed.instance).instance
+    with mock.patch.object(core, "_accept_rows", side_effect=AssertionError("slow path")):
+        for inst in (composed.instance, binary):
+            assert deserialize(serialize(inst)) == inst
 
 
 # ---------------------------------------------------------------------------
