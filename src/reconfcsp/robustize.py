@@ -5,9 +5,13 @@ edge gets a circuit that list-decodes the two blocks from their distances
 to all 2^n codewords (one `hadamard.codeword_distances` call per block,
 behind a bounded cache; along a walk each is a +-1 update of the previous
 block's distances) and checks the decoded pairs against the source
-constraint.  Circuits stay semantic (a predicate over two blocks);
-only the micro oracle ever materializes their truth tables, and only for
-n <= 3.
+constraint.  Codewords sit 2^(n-1) apart, so a block whose nearest
+distance d has d + radius < 2^(n-1) has that codeword as its only
+candidate.  `count_satisfied` keeps the verdicts of its last call and
+re-evaluates only circuits whose blocks changed, so a walk step that moves
+one vertex re-checks the circuits on it alone.  Circuits stay semantic (a
+predicate over two blocks); only the micro oracle ever materializes their
+truth tables, and only for n <= 3.
 """
 
 from __future__ import annotations
@@ -94,7 +98,12 @@ def _decode_profile(n: int, bits: int, radius: int) -> tuple[int, int, tuple[int
     """
     dist = codeword_distances(n, bits)
     best = int(dist.argmin())
-    return best, int(dist[best]), tuple(np.flatnonzero(dist <= radius).tolist())
+    nearest = int(dist[best])
+    if nearest > radius:
+        return best, nearest, ()
+    if nearest + radius < 1 << (n - 1):  # codewords sit 2^(n-1) apart: no other is this close
+        return best, nearest, (best,)
+    return best, nearest, tuple(np.flatnonzero(dist <= radius).tolist())
 
 
 def decode_block(f: BitFunction) -> int:
@@ -121,12 +130,26 @@ def eval_circuit(circuit: RobustCircuit, f: BitFunction, g: BitFunction) -> bool
     return all((a, b) in circuit.pairs for a in f_cands for b in g_cands)
 
 
+# The last `count_satisfied` call as (system, blocks, verdict per circuit).  A
+# circuit is re-evaluated only when the system is another object or one of its
+# two blocks differs in value from that call.  The entry is replaced whole, so
+# concurrent callers can lose each other's verdicts but never read mixed ones.
+_verdicts: tuple[CircuitSystem | None, dict[str, BitFunction], tuple[bool, ...]] = (None, {}, ())
+
+
 def count_satisfied(system: CircuitSystem, sigma: BlockAssignment) -> int:
-    return sum(
-        1
-        for c in system.circuits
-        if eval_circuit(c, sigma.blocks[c.v], sigma.blocks[c.w])
+    global _verdicts
+    last_system, last_blocks, last = _verdicts
+    blocks = sigma.blocks
+    same = last_system is system
+    verdicts = tuple(
+        last[i]
+        if same and blocks[c.v] == last_blocks[c.v] and blocks[c.w] == last_blocks[c.w]
+        else eval_circuit(c, blocks[c.v], blocks[c.w])
+        for i, c in enumerate(system.circuits)
     )
+    _verdicts = (system, dict(blocks), verdicts)
+    return sum(verdicts)
 
 
 def pad_alphabet(instance: ReconfInstance) -> tuple[ReconfInstance, int]:

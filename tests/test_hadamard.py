@@ -323,6 +323,31 @@ def test_near_block_takes_the_place_of_its_source():
     assert len(hadamard._memo[9]) == 2
 
 
+def test_interleaved_walks_read_the_popcount_kernel():
+    # two single-bit walks taking turns, then their starts and heads again,
+    # exact repeats among them: the newest-first scan must find the right
+    # entry or popcount afresh
+    n = 9
+    rng = stream(8, "interleaved-walks")
+    heads = [had_encode(3, n).bits, rng.getrandbits(1 << n)]
+    starts = list(heads)
+    sequence = []
+    for t in range(300):
+        heads[t % 2] ^= 1 << rng.randrange(1 << n)
+        sequence.append(heads[t % 2])
+        if t % 50 == 49:
+            sequence.append(sequence[-3])  # this walk's previous block, one flip back
+    sequence += starts + [heads[1], heads[0]] + starts[::-1]
+    expected = []
+    for bits in sequence:
+        hadamard._memo.clear()
+        expected.append(codeword_distances(n, bits).tolist())
+    hadamard._memo.clear()
+    for bits, distances in zip(sequence, expected):
+        assert codeword_distances(n, bits).tolist() == distances
+        assert len(hadamard._memo[n]) <= hadamard._MEMO_SIZE
+
+
 def test_memo_stays_bounded_and_results_are_read_only():
     hadamard._memo.clear()
     for bits in walk_blocks(6, 3, 10_000, 12):

@@ -25,6 +25,7 @@ from reconfcsp.robustize import (
     RobustCircuit,
     _decode_profile,
     adversarial_block_sequence,
+    blocks_to_obj,
     completeness_sequence,
     concat_blocks,
     count_satisfied,
@@ -35,13 +36,15 @@ from reconfcsp.robustize import (
     materialize_micro_csp,
     micro_distance_to_sat,
     pad_alphabet,
+    read_block_sequence,
     read_system,
     robustize,
     sat_inputs,
     single_bit_change,
     write_system,
 )
-from reconfcsp import hadamard, solver
+from reconfcsp import hadamard, robustize as rb, solver
+from reconfcsp.fileio import write_json
 from reconfcsp.seeding import stream
 
 from conftest import single_edge
@@ -249,6 +252,36 @@ def test_decode_profile_matches_scan_on_exact_ties():
                 assert decode_block(mid) == min(alpha, beta)
 
 
+def test_decode_profile_matches_scan_at_unique_decoding_boundary():
+    # A block d bits from had(alpha), all inside D(alpha, beta), is 2^(n-1) - d from
+    # had(beta); d + radius < 2^(n-1) is where a single candidate is certain.
+    for n in range(2, 11):
+        half = 1 << (n - 1)
+        rng = stream(n, "decode-boundary")
+        radii = {0, quarter_radius(n), clause_two_radius(n), clause_two_radius(n, weakened=True)}
+        for radius in sorted(radii):
+            for d in (radius, radius + 1, half - radius - 1, half - radius):
+                if not 0 <= d <= half:
+                    continue
+                alpha, beta = rng.sample(range(1 << n), 2)
+                inside = rng.sample(sorted(disagreement_set(alpha, beta, n)), d)
+                anywhere = rng.sample(range(1 << n), d)
+                for flips in (inside, anywhere):
+                    bits = had_encode(alpha, n).bits
+                    for x in flips:
+                        bits ^= 1 << x
+                    _decode_profile.cache_clear()
+                    hadamard._memo.clear()
+                    assert _decode_profile(n, bits, radius) == scan_decode_profile(n, bits, radius)
+                bits = had_encode(alpha, n).bits
+                for x in inside:
+                    bits ^= 1 << x
+                _, nearest, cands = _decode_profile(n, bits, radius)
+                assert nearest == min(d, half - d)
+                if d <= radius and half - d <= radius:  # the scan, not the shortcut
+                    assert {alpha, beta} <= set(cands)
+
+
 def test_decode_profile_cache_is_bounded():
     assert _decode_profile.cache_info().maxsize is not None
 
@@ -338,6 +371,88 @@ def test_extract_rejects_multibit_steps():
     jumped = system.sigma_ini.with_block("u", had_encode(3, 2))
     with pytest.raises(InstanceError, match="more than one bit"):
         extract_psi_sequence(system, [system.sigma_ini, jumped])
+
+
+# ---------------------------------------------------------------------------
+# The circuit-verdict memo of count_satisfied
+# ---------------------------------------------------------------------------
+
+
+def fresh_count(system, sigma) -> int:
+    return sum(eval_circuit(c, sigma.blocks[c.v], sigma.blocks[c.w]) for c in system.circuits)
+
+
+def test_count_satisfied_matches_fresh_evaluation_along_walks(tmp_path):
+    inst, walk = _satisfying_walk_instance(seed=31)
+    system = robustize(inst)
+    total = len(system.circuits)
+    spliced = completeness_sequence(system, walk, seed=3)
+    counts = [count_satisfied(system, s) for s in spliced]
+    assert counts == [fresh_count(system, s) for s in spliced] == [total] * len(spliced)
+    adversarial = [
+        adversarial_block_sequence(system, seed=5, scramble=400),
+        adversarial_block_sequence(system, seed=6),
+    ]
+    micro = robustize(path_graph_instance(4, [{"u": 0, "v": 1, "w": 2}, {"u": 3, "v": 1, "w": 2}]))
+    for sys_, seq in [(system, w) for w in adversarial] + [
+        (micro, adversarial_block_sequence(micro, seed=s)) for s in range(4)
+    ]:
+        counts = [count_satisfied(sys_, s) for s in seq]
+        assert counts == [fresh_count(sys_, s) for s in seq]
+        assert min(counts) < len(sys_.circuits)  # the walks do violate circuits
+    # the same steps as new objects with equal bits, read back from disk
+    path = tmp_path / "walk.json"
+    write_json(path, {"steps": [blocks_to_obj(s) for s in adversarial[0]]})
+    reread = read_block_sequence(system, path)
+    assert reread == adversarial[0] and reread[0].blocks["v0"] is not adversarial[0][0].blocks["v0"]
+    for old, new in zip(adversarial[0], reread):
+        assert count_satisfied(system, old) == count_satisfied(system, new) == fresh_count(system, new)
+
+
+def test_count_satisfied_alternating_strict_and_weakened_systems():
+    # At n = 10 the strict decoding radius (257) exceeds the weakened one (256): a
+    # block 255 bits from had(0) is 257 from had(1), a candidate for strict only.
+    inst = single_edge({(0, 0), (1, 1)}, 1024, (0, 0), (1, 1))
+    strict, weak = robustize(inst), robustize(inst, weakened=True)
+    counts = []
+    for f, g in four_phase_block_path(10, 0, 0, 1, 1):
+        sigma = BlockAssignment(10, {"u": f, "w": g})
+        for system in (strict, weak):
+            counts.append(count_satisfied(system, sigma))
+            assert counts[-1] == fresh_count(system, sigma)
+            assert rb._verdicts[0] is system  # one system at a time, never more
+    assert counts[0::2] != counts[1::2]
+
+
+def test_count_satisfied_reports_a_single_circuit_violation():
+    # chain u-v-w: u is on the first circuit only (its f side), w on the second (its g side)
+    inst = path_graph_instance(512, [{"u": 0, "v": 1, "w": 2}, {"u": 3, "v": 1, "w": 4}])
+    system = robustize(inst)
+    sigma = system.sigma_ini
+    assert count_satisfied(system, sigma) == 2
+    for vertex, bad in (("w", 7), ("u", 7), ("w", 4), ("u", 3)):
+        moved = sigma.with_block(vertex, had_encode(bad, 9))
+        assert count_satisfied(system, moved) == fresh_count(system, moved) == (bad in (3, 4)) + 1
+        assert count_satisfied(system, sigma) == 2
+    # had(0) is the all-zero block at every n: equal bits, wrong length
+    short = sigma.with_block("u", had_encode(0, 8))
+    assert short.blocks["u"].bits == sigma.blocks["u"].bits
+    with pytest.raises(InstanceError, match="length mismatch"):
+        count_satisfied(system, short)
+
+
+def test_count_satisfied_reevaluates_only_moved_circuits(monkeypatch):
+    inst, walk = _satisfying_walk_instance(seed=41, vertices=4)
+    system = robustize(inst)
+    spliced = completeness_sequence(system, walk, seed=1)
+    count_satisfied(system, spliced[0])
+    calls = []
+    monkeypatch.setattr(rb, "eval_circuit", lambda c, f, g: calls.append(c) or True)
+    for a, b in zip(spliced, spliced[1:]):
+        calls.clear()
+        count_satisfied(system, b)
+        moved, _ = single_bit_change(a, b)
+        assert calls and all(moved in (c.v, c.w) for c in calls)
 
 
 def test_soundness_triangle_inequality_witnesses_at_n9():
