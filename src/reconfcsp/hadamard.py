@@ -117,11 +117,10 @@ def hadamard_signs(n: int) -> np.ndarray:
 
 
 # Per n, up to _MEMO_SIZE (bits, distances) pairs that `codeword_distances`
-# returned recently, newest last.  They are scanned newest first, stopping at
-# an entry at most one bit away; a block at most _MEMO_FLIPS bits from one of
-# them is answered from the nearest by one sign row per flipped bit and takes
-# its place, so each walk in progress holds one entry; any other block is
-# popcounted and evicts the oldest.  Each n's tuple of exact pairs is
+# returned recently, oldest first.  A block at most _MEMO_FLIPS bits from one
+# of them is answered from the nearest by one sign row per flipped bit and
+# takes its place, so each walk in progress holds one entry; any other block
+# is popcounted and evicts the oldest.  Each n's tuple of exact pairs is
 # replaced whole, so concurrent callers can lose each other's entries but
 # never read a wrong one.
 _MEMO_SIZE = 8
@@ -136,12 +135,10 @@ def codeword_distances(n: int, bits: int) -> np.ndarray:
     """
     memo = _memo.get(n, ())
     near, flips = -1, _MEMO_FLIPS + 1
-    for i in range(len(memo) - 1, -1, -1):
-        k = (memo[i][0] ^ bits).bit_count()
+    for i, (known, dist) in enumerate(memo):
+        k = (known ^ bits).bit_count()
         if k < flips:
             near, flips = i, k
-            if k <= 1:
-                break
     if flips == 0:
         return memo[near][1]
     if near < 0:

@@ -325,8 +325,8 @@ def test_near_block_takes_the_place_of_its_source():
 
 def test_interleaved_walks_read_the_popcount_kernel():
     # two single-bit walks taking turns, then their starts and heads again,
-    # exact repeats among them: the newest-first scan must find the right
-    # entry or popcount afresh
+    # exact repeats among them: the memo scan must find the right entry or
+    # popcount afresh
     n = 9
     rng = stream(8, "interleaved-walks")
     heads = [had_encode(3, n).bits, rng.getrandbits(1 << n)]

@@ -445,6 +445,8 @@ def test_count_satisfied_reevaluates_only_moved_circuits(monkeypatch):
     inst, walk = _satisfying_walk_instance(seed=41, vertices=4)
     system = robustize(inst)
     spliced = completeness_sequence(system, walk, seed=1)
+    # the fake verdicts below must not outlive this test
+    monkeypatch.setattr(rb, "_verdicts", (None, {}, ()))
     count_satisfied(system, spliced[0])
     calls = []
     monkeypatch.setattr(rb, "eval_circuit", lambda c, f, g: calls.append(c) or True)
