@@ -484,10 +484,13 @@ def _cell_edge_codes(
     ascending and each pair (a, b) having a <= b, the codes of (sym, a) then,
     if b differs, (sym, b) come out strictly increasing.
     """
-    pair = np.array(pairs, dtype=np.int64)[(valid // stride) % len(pairs)]
-    codes = valid[:, None] * size + pair
+    low, high = np.array(pairs, dtype=np.int64).T
+    which, base = (valid // stride) % len(pairs), valid * size
+    codes = np.empty((len(valid), 2), dtype=np.int64)
+    codes[:, 0] = base + low[which]
+    codes[:, 1] = base + high[which]
     keep = np.ones(codes.shape, dtype=bool)
-    keep[:, 1] = pair[:, 0] != pair[:, 1]
+    keep[:, 1] = codes[:, 0] != codes[:, 1]
     return codes[keep]
 
 

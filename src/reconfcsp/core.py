@@ -301,6 +301,8 @@ class ConstraintGraph:
     Each `accepts[j]` may be given as an `AcceptSet` or as any iterable of
     tuples; the graph stores it as an `AcceptSet` over the hyperedge's
     coordinate alphabets, re-encoding a set built over other alphabets.
+    One object given for several hyperedges over the same alphabets is
+    packed once, and those hyperedges hold the same `AcceptSet`.
     """
 
     q: int
@@ -325,7 +327,7 @@ class ConstraintGraph:
                 raise InstanceError(f"alphabet override for unknown vertex id {name!r}")
             if size < 1:
                 raise InstanceError(f"alphabet override for {name!r} must be positive")
-        packed = []
+        packed, shared = [], {}
         for i, edge in enumerate(self.edges):
             if len(edge) != self.q:
                 raise InstanceError(f"edges[{i}]: arity mismatch (got {len(edge)}, declared {self.q})")
@@ -333,10 +335,13 @@ class ConstraintGraph:
                 if v not in known:
                     raise InstanceError(f"edges[{i}]: unknown vertex id {v!r}")
             sizes = tuple([self.alphabet_of(v) for v in edge])
-            try:
-                packed.append(_pack(self.accepts[i], sizes, edge))
-            except InstanceError as exc:
-                raise InstanceError(f"edges[{i}].{exc}") from None
+            key = (id(self.accepts[i]), sizes)
+            if key not in shared:
+                try:
+                    shared[key] = _pack(self.accepts[i], sizes, edge)
+                except InstanceError as exc:
+                    raise InstanceError(f"edges[{i}].{exc}") from None
+            packed.append(shared[key])
         object.__setattr__(self, "accepts", tuple(packed))
 
     def alphabet_of(self, vertex: str) -> int:
@@ -474,9 +479,11 @@ def serialize(instance: ReconfInstance) -> str:
 
     `json.dumps` writes everything but the accept lists, each left as the
     placeholder `"accept": []`, which no string can hold because `json.dumps`
-    escapes the quotes inside one.  The rows are spliced in from one string
-    per symbol that occurs (never one per alphabet symbol), gathered per
-    coordinate with the row's brackets and commas by fancy indexing.
+    escapes the quotes inside one.  Each distinct `AcceptSet` object is
+    rendered once and its text spliced in for every edge holding it; the
+    rows come from one string per symbol that occurs (never one per alphabet
+    symbol), gathered per coordinate with the row's brackets and commas by
+    fancy indexing.
     """
     graph, order, q = instance.graph, instance.graph.vertices, instance.graph.q
     overrides = graph.vertex_alphabets
@@ -489,7 +496,9 @@ def serialize(instance: ReconfInstance) -> str:
         "psi_tar": {v: instance.psi_tar.values[v] for v in order},
     }
     head, *tails = json.dumps(obj, indent=2).split('"accept": []')
-    rows = np.concatenate([acc._rows() for acc in graph.accepts] + [np.empty((0, q), np.int64)])
+    distinct = {id(acc): acc for acc in graph.accepts}
+    rows = [acc._rows() for acc in distinct.values()]
+    rows = np.concatenate(rows + [np.empty((0, q), np.int64)])
     top = int(rows.max(initial=-1)) + 1
     if top > rows.size:
         symbols, index = np.unique(rows, return_inverse=True)
@@ -503,16 +512,18 @@ def serialize(instance: ReconfInstance) -> str:
         opening, closing = "\n        [" if c == 0 else ",", "\n        ]," if c == q - 1 else ""
         table = [f"{opening}\n          {s}{closing}" for s in symbols.tolist()]
         cells[:, c] = np.array(table, dtype=object)[index[:, c]]
-    tokens = cells.ravel().tolist()
-    parts, start = [head], 0
-    for acc, tail in zip(graph.accepts, tails):
+    tokens, texts, start = cells.ravel().tolist(), {}, 0
+    for key, acc in distinct.items():
         stop = start + len(acc) * q
         if stop > start:
             tokens[stop - 1] = tokens[stop - 1][:-1]  # no comma after an edge's last row
-            parts += ['"accept": [', *tokens[start:stop], "\n      ]", tail]
+            texts[key] = "".join(['"accept": [', *tokens[start:stop], "\n      ]"])
         else:
-            parts += ['"accept": []', tail]
+            texts[key] = '"accept": []'
         start = stop
+    parts = [head]
+    for acc, tail in zip(graph.accepts, tails):
+        parts += (texts[id(acc)], tail)
     parts.append("\n")
     return "".join(parts)
 
@@ -628,8 +639,10 @@ def _written_layout(text: str) -> dict | None:
     row count and the arity, and its symbols are 1-18 digits without a
     leading zero, one per slot.  The symbols are the digit runs of the
     text's bytes, found with numpy a list at a time and parsed a decimal
-    place at a time.  On anything else this returns None and `deserialize`
-    parses the text whole, so every error is reported as before.
+    place at a time.  Each distinct list is checked and parsed once, and
+    lists byte-equal to it get its array, which the graph packs once.  On
+    anything else this returns None and `deserialize` parses the text
+    whole, so every error is reported as before.
     """
     if not text.isascii():
         return None
@@ -664,9 +677,13 @@ def _written_layout(text: str) -> dict | None:
         return None
     row = b"\n        [" + b",".join([b"\n          "] * q) + b"\n        ]"
     buf = np.frombuffer(data, dtype=np.uint8)
-    skeletons, counts, flips = {}, [], []
+    distinct, order, skeletons, counts, flips = {}, [], {}, [], []
     for start, end in zip(starts, ends):
-        skeleton = data[start:end].translate(None, b"0123456789")
+        piece = data[start:end]
+        order.append(distinct.setdefault(piece, len(distinct)))
+        if order[-1] < len(counts):  # byte-equal to a list already read
+            continue
+        skeleton = piece.translate(None, b"0123456789")
         rows = (len(skeleton) - 7) // (len(row) + 1)
         if rows not in skeletons:
             skeletons[rows] = b",".join([row] * rows) + b"\n      ]"
@@ -691,8 +708,9 @@ def _written_layout(text: str) -> dict | None:
     for place in range(int(length.max(initial=0))):
         more = length > place
         symbols = np.where(more, symbols * 10 + (buf[first + place * more] - ord("0")), symbols)
-    for edge, part in zip(holders, np.split(symbols, np.cumsum(counts)[:-1])):
-        edge["accept"] = part.reshape(-1, q)
+    arrays = [part.reshape(-1, q) for part in np.split(symbols, np.cumsum(counts)[:-1])]
+    for edge, k in zip(holders, order):
+        edge["accept"] = arrays[k]
     return obj
 
 

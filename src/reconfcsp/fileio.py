@@ -11,12 +11,17 @@ from .core import InstanceError, ReconfInstance, deserialize
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename into place."""
+    """Write via a temp file in the target directory, then rename into place.
+
+    The text is written as UTF-8 without newline translation, so a file has
+    the same bytes on every platform, with the line feeds that the instance
+    reader's fast path expects.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -30,8 +35,9 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def _read_utf8(path: str | Path) -> str:
+    """The file's bytes as UTF-8 text; line endings are kept, and JSON reads them as space."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InstanceError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 

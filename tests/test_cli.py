@@ -302,9 +302,22 @@ def test_non_utf8_file_exits_2_naming_it(tmp_path, capsys, command):
     assert err.startswith(f"error: {bad}: not UTF-8 text") and "Traceback" not in err
 
 
-# SHA-256 of `arity-reduce --out` and `--trace` for the lean seed-7 chain,
-# computed before accept sets were packed; the bytes must not change.
+def test_crlf_instance_reads_equal_to_lf(tmp_path):
+    from reconfcsp.fileio import read_instance
+
+    text = core.serialize(triangle_equality())
+    lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    assert read_instance(crlf) == read_instance(lf) == triangle_equality()
+
+
+# SHA-256 of the composed instance and of `arity-reduce --out` and `--trace`
+# for the lean seed-7 chain.  The last two were computed before accept sets
+# were packed, the first before instance I/O shared equal accept lists; the
+# bytes must not change.
 _ARITY_REDUCE_SHA256 = {
+    "composed/instance.json": "3fff86dee1a3c7338a57c7fca8cdee676986e9d2d08d15dd8bd8dbe8b40e711a",
     "binary.json": "291a274ce785faf51260376ad7514cda1da43285abc9fb42fe49bd57c8a541d6",
     "trace.json": "e18b3d1e1217980754d93e6dfe27a68fb60c92b09cec9cc842ac62c7a554ca43",
 }

@@ -170,8 +170,14 @@ def writer_instances(draw):
     for _ in range(draw(st.integers(0, 4))):
         edge = tuple(draw(st.sampled_from(names)) for _ in range(q))
         row = st.tuples(*(st.integers(0, sizes[v] - 1) for v in edge))
+        # an earlier edge's set object over the same alphabets, or a set of its own
+        alphabets = [sizes[v] for v in edge]
+        alike = [acc for e, acc in zip(edges, accepts) if [sizes[v] for v in e] == alphabets]
         edges.append(edge)
-        accepts.append(draw(st.sets(row, max_size=8)))
+        if alike and draw(st.booleans()):
+            accepts.append(draw(st.sampled_from(alike)))
+        else:
+            accepts.append(draw(st.sets(row, max_size=8)))
     graph = ConstraintGraph(q, tuple(names), tuple(edges), alphabet, tuple(accepts), overrides)
 
     def psi():
@@ -274,7 +280,7 @@ def reader_documents(draw):
     kind = draw(st.sampled_from([
         "written", "dumped", "symbol", "row length", "key order", "vertex key",
         "top-level key", "cut marker", "duplicate key", "text edit", "moved symbol",
-        "truncated",
+        "truncated", "repeated list",
     ]))
     if kind == "written":
         return text
@@ -320,6 +326,13 @@ def reader_documents(draw):
         obj["notes"] = [{"accept": [[1] * q]}, {"name": '"accept": ['}]
     elif kind == "cut marker":
         edges[draw(st.integers(0, len(edges) - 1))]["accept"] = "\0"
+    elif kind == "repeated list":  # onto another edge or a new one, over any alphabets
+        copy = json.loads(json.dumps(draw(st.sampled_from(full))["accept"]))
+        j = draw(st.integers(0, len(edges)))
+        if j == len(edges):
+            names = [v if type(v) is str else v["name"] for v in obj["vertices"]]
+            edges.append({"vertices": [draw(st.sampled_from(names)) for _ in range(q)]})
+        edges[j]["accept"] = copy
     return json.dumps(obj, indent=2)
 
 
@@ -330,8 +343,27 @@ def _read(text: str):
         return f"InstanceError: {exc}"
 
 
+def _repeated_out_of_range() -> str:
+    """One written list twice, the second time under a vertex whose alphabet it overflows."""
+    psi = Assignment({"a": 0, "b": 3, "c": 1})
+    graph = ConstraintGraph(2, ("a", "b", "c"), (("a", "b"), ("a", "c")), 4,
+                            ({(0, 3), (1, 2)}, {(0, 1)}), {"c": 2})
+    obj = json.loads(serialize(ReconfInstance(graph, psi, psi)))
+    obj["edges"][1]["accept"] = obj["edges"][0]["accept"]
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def test_repeated_list_is_range_checked_per_edge():
+    text = _repeated_out_of_range()
+    assert core._written_layout(text) is not None
+    with pytest.raises(InstanceError, match=r"edges\[1\]\.accept\[0\]: symbol 3 out of range "
+                       r"for vertex 'c' \(alphabet 2\)"):
+        deserialize(text)
+
+
 @settings(deadline=None)  # max_examples comes from the Hypothesis profile
 @given(reader_documents())
+@example(_repeated_out_of_range())
 def test_fast_and_slow_readers_agree(text):
     event("fast path" if core._written_layout(text) is not None else "slow path")
     with mock.patch.object(core, "_written_layout", lambda text: None):
@@ -347,7 +379,41 @@ def test_written_pipeline_instances_take_the_fast_path():
     binary = arity_reduce(composed.instance).instance
     with mock.patch.object(core, "_accept_rows", side_effect=AssertionError("slow path")):
         for inst in (composed.instance, binary):
-            assert deserialize(serialize(inst)) == inst
+            text = serialize(inst)
+            back = deserialize(text)
+            assert back == inst and serialize(back) == text
+    # equal lists are read once: one AcceptSet object per distinct written list
+    lists = {json.dumps(edge["accept"]) for edge in json.loads(text)["edges"]}
+    assert len(lists) < len(back.graph.edges)
+    assert len({id(acc) for acc in back.graph.accepts}) == len(lists)
+
+
+def test_graph_packs_one_object_once_per_alphabets():
+    rows = np.array([[0, 1], [1, 3]])
+    edges = (("a", "b"), ("b", "a"), ("a", "b"), ("a", "c"))
+    graph = ConstraintGraph(2, ("a", "b", "c"), edges, 4, (rows,) * 4, {"c": 5})
+    shared, _, again, own = graph.accepts
+    assert shared is again and shared is not own
+    assert list(shared) == list(own) == [(0, 1), (1, 3)] and own.sizes == (4, 5)
+    with pytest.raises(InstanceError, match=r"^edges\[3\]\.accept\[1\]: symbol 3 out of range "
+                       r"for vertex 'c' \(alphabet 3\)$"):
+        ConstraintGraph(2, ("a", "b", "c"), edges, 4, (rows,) * 4, {"c": 3})
+
+
+def test_serialize_shared_set_writes_as_equal_copies():
+    edges = (("a", "b"), ("b", "a"), ("a", "a"), ("b", "b"))
+    tuples, empty = {(0, 1), (2, 3), (1, 1)}, set()
+    psi = Assignment({"a": 0, "b": 1})
+
+    def instance(accepts):
+        return ReconfInstance(ConstraintGraph(2, ("a", "b"), edges, 4, accepts), psi, psi)
+
+    full, none = AcceptSet(tuples, (4, 4)), AcceptSet(empty, (4, 4))
+    shared = instance((full, none, full, none))
+    copies = instance(tuple(AcceptSet(t, (4, 4)) for t in (tuples, empty, tuples, empty)))
+    assert len({id(acc) for acc in shared.graph.accepts}) == 2
+    assert len({id(acc) for acc in copies.graph.accepts}) == 4
+    assert serialize(shared) == serialize(copies) == _serialize_oracle(copies)
 
 
 # ---------------------------------------------------------------------------
