@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -61,7 +61,8 @@ class ReductionTrace:
     notes: dict = field(default_factory=dict)
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        """The trace as a JSON object; it holds the fields themselves, not copies."""
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------

@@ -624,10 +624,10 @@ def _assignment_from_obj(obj: dict, key: str, graph: ConstraintGraph, where: str
 # How `serialize` opens and closes a non-empty accept list, and what replaces it.
 _ACCEPT_KEY = b'\n      "accept": [\n'
 _ACCEPT_CLOSE = b"\n      ]"
-_CUT = '"\\u0000"'
+_CUT = b'"\\u0000"'
 
 
-def _written_layout(text: str) -> dict | None:
+def _written_layout(data: bytes) -> dict | None:
     """The instance object, accept lists read as (count, q) int64 arrays, or None.
 
     This reads only text laid out as `serialize` writes it.  Each accept
@@ -638,15 +638,14 @@ def _written_layout(text: str) -> dict | None:
     only if, with its digits deleted, it is the canonical skeleton of its
     row count and the arity, and its symbols are 1-18 digits without a
     leading zero, one per slot.  The symbols are the digit runs of the
-    text's bytes, found with numpy a list at a time and parsed a decimal
-    place at a time.  Each distinct list is checked and parsed once, and
+    bytes, found with numpy a list at a time and parsed a decimal place at
+    a time.  Each distinct list is checked and parsed once, and
     lists byte-equal to it get its array, which the graph packs once.  On
     anything else this returns None and `deserialize` parses the text
     whole, so every error is reported as before.
     """
-    if not text.isascii():
+    if not data.isascii():
         return None
-    data = text.encode("ascii")
     starts, ends, pieces, prev = [], [], [], 0
     at = data.find(_ACCEPT_KEY)
     while at >= 0:
@@ -655,15 +654,15 @@ def _written_layout(text: str) -> dict | None:
         end = data.rfind(_ACCEPT_CLOSE, start, brace) + len(_ACCEPT_CLOSE)
         if brace < 0 or end <= start:
             return None
-        pieces += (text[prev : start - 1], _CUT)
+        pieces += (data[prev : start - 1], _CUT)
         starts.append(start)
         ends.append(end)
         prev = end
         at = data.find(_ACCEPT_KEY, end)
     if not starts:
         return None
-    remainder = "".join(pieces) + text[prev:]
-    if remainder.count("\\u0000") != len(starts):  # so every "\0" string is a cut
+    remainder = b"".join(pieces) + data[prev:]
+    if remainder.count(b"\\u0000") != len(starts):  # so every "\0" string is a cut
         return None
     try:
         obj = json.loads(remainder)
@@ -714,11 +713,20 @@ def _written_layout(text: str) -> dict | None:
     return obj
 
 
-def deserialize(text: str) -> ReconfInstance:
-    obj = _written_layout(text)
+def utf8_text(data: bytes) -> str:
+    """The bytes as UTF-8 text, or an InstanceError saying where they are not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def deserialize(text: str | bytes) -> ReconfInstance:
+    """The instance in `text`, or in the UTF-8 bytes of a file as read."""
+    obj = _written_layout(text if isinstance(text, bytes) else text.encode("utf-8", "replace"))
     if obj is None:
         try:
-            obj = json.loads(text)
+            obj = json.loads(text if isinstance(text, str) else utf8_text(text))
         except json.JSONDecodeError as exc:
             raise InstanceError(f"instance: malformed field ({exc})") from exc
     if not isinstance(obj, dict):

@@ -7,7 +7,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .core import InstanceError, ReconfInstance, deserialize
+from .core import InstanceError, ReconfInstance, deserialize, utf8_text
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -34,26 +34,20 @@ def write_json(path: str | Path, obj) -> None:
     write_text_atomic(path, json.dumps(obj, indent=2) + "\n")
 
 
-def _read_utf8(path: str | Path) -> str:
-    """The file's bytes as UTF-8 text; line endings are kept, and JSON reads them as space."""
-    try:
-        return Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InstanceError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
 def read_json(path: str | Path):
     """The parsed file; malformed JSON or non-UTF-8 bytes raise InstanceError naming the file."""
     try:
-        return json.loads(_read_utf8(path))
+        return json.loads(utf8_text(Path(path).read_bytes()))
+    except InstanceError as exc:
+        raise InstanceError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InstanceError(f"{path}: malformed JSON ({exc})") from None
 
 
 def read_instance(path: str | Path) -> ReconfInstance:
     """The instance in the file; every InstanceError it raises names the file."""
-    text = _read_utf8(path)
+    data = Path(path).read_bytes()
     try:
-        return deserialize(text)
+        return deserialize(data)
     except InstanceError as exc:
         raise InstanceError(f"{path}: {exc}") from None

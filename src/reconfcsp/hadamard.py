@@ -10,11 +10,12 @@ Distances to all 2^n codewords come from a popcount kernel over a cached
 uint64 word matrix, or from +-1 updates: flipping bit x moves the distance
 to had(gamma) by +-(-1)^(x.gamma), row x of the cached Hadamard sign table
 (the Walsh-Hadamard identity W_f(gamma) = 2^n - 2 dist(f, had(gamma)) in
-Hamming units).  `codeword_distances` updates the distances of a recently
-answered block a few bits away and popcounts otherwise; `path_distances`
-gives the whole (step x codeword) matrix of a single-bit path by a
-cumulative sum of updates.  Path checks, distance profiles and block
-decoding read from them.
+Hamming units).  `codeword_distances` popcounts a block, or updates the
+distances of a block a few bits away that the caller already has;
+`walk_distances` gives the (step x codeword) matrix of a single-bit walk by
+a cumulative sum of updates, in chunks of bounded size.  Nothing here
+remembers a block between calls.  Path checks, distance profiles and block
+decoding read from these.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -116,38 +117,22 @@ def hadamard_signs(n: int) -> np.ndarray:
     return signs
 
 
-# Per n, up to _MEMO_SIZE (bits, distances) pairs that `codeword_distances`
-# returned recently, oldest first.  A block at most _MEMO_FLIPS bits from one
-# of them is answered from the nearest by one sign row per flipped bit and
-# takes its place, so each walk in progress holds one entry; any other block
-# is popcounted and evicts the oldest.  Each n's tuple of exact pairs is
-# replaced whole, so concurrent callers can lose each other's entries but
-# never read a wrong one.
-_MEMO_SIZE = 8
-_MEMO_FLIPS = 4
-_memo: dict[int, tuple[tuple[int, np.ndarray], ...]] = {}
+# A block at most this many bits from one whose distances are known is
+# answered by one sign row per flipped bit; beyond it the popcount is cheaper.
+NEAR_FLIPS = 4
 
 
-def codeword_distances(n: int, bits: int) -> np.ndarray:
+def codeword_distances(
+    n: int, bits: int, near: tuple[int, np.ndarray] | None = None
+) -> np.ndarray:
     """Hamming distance from the 2^n-bit block `bits` to every codeword, indexed by symbol.
 
-    The int32 result is read-only, since later calls may return it again.
+    If `near` = (block, its distances) is at most NEAR_FLIPS bits away, the
+    result is a new array: those distances plus or minus one row of
+    `hadamard_signs(n)` per flipped bit.  Otherwise `bits` is popcounted.
     """
-    memo = _memo.get(n, ())
-    near, flips = -1, _MEMO_FLIPS + 1
-    for i, (known, dist) in enumerate(memo):
-        k = (known ^ bits).bit_count()
-        if k < flips:
-            near, flips = i, k
-    if flips == 0:
-        return memo[near][1]
-    if near < 0:
-        table = codeword_words(n)
-        block = np.frombuffer(bits.to_bytes(8 * len(table), "little"), dtype="<u8")
-        dist = np.bitwise_count(table ^ block[:, None]).sum(axis=0, dtype=np.int32)
-        kept = memo[1 - _MEMO_SIZE:]
-    else:
-        known, dist = memo[near]
+    if near is not None and (near[0] ^ bits).bit_count() <= NEAR_FLIPS:
+        known, dist = near
         signs = hadamard_signs(n)
         delta = known ^ bits
         while delta:
@@ -155,10 +140,53 @@ def codeword_distances(n: int, bits: int) -> np.ndarray:
             row = signs[low.bit_length() - 1]
             dist = dist + row if bits & low else dist - row
             delta ^= low
-        kept = memo[:near] + memo[near + 1:]
-    dist.flags.writeable = False
-    _memo[n] = kept + ((bits, dist),)
-    return dist
+        return dist
+    table = codeword_words(n)
+    block = np.frombuffer(bits.to_bytes(8 * len(table), "little"), dtype="<u8")
+    return np.bitwise_count(table ^ block[:, None]).sum(axis=0, dtype=np.int32)
+
+
+# Largest distance matrix `walk_distances` fills at once: 2,048 rows at
+# n = 9, 256 at n = 12.
+WALK_CHUNK_BYTES = 1 << 22
+
+
+def walk_distances(
+    n: int, walk: Sequence[int], rows: int | None = None
+) -> Iterator[np.ndarray]:
+    """Distances of each block of a single-bit walk to every codeword, a chunk at a time.
+
+    Yields (k, 2^n) int32 matrices whose rows are the distances of walk[0],
+    walk[1], ...: row 0 by popcount, each next one as the row before plus
+    row x of `hadamard_signs`, negated where bit x was set.  A chunk holds at
+    most `rows` rows (by default WALK_CHUNK_BYTES of them) and is overwritten
+    by the next.  Every step must change exactly one bit.
+    """
+    if rows is None:
+        rows = max(1, WALK_CHUNK_BYTES // (4 << n))
+    signs = hadamard_signs(n)
+    buffer = np.empty((min(rows, len(walk)), 1 << n), dtype=np.int32)
+    last = None
+    for start in range(0, len(walk), rows):
+        positions, before = [], []
+        for t in range(max(start, 1), min(start + rows, len(walk))):
+            delta = walk[t - 1] ^ walk[t]
+            if delta.bit_count() != 1:
+                raise ValueError(f"path step {t - 1} changes {delta.bit_count()} bits, not one")
+            x = delta.bit_length() - 1
+            positions.append(x)
+            before.append((walk[t - 1] >> x) & 1)
+        dist = buffer[: min(rows, len(walk) - start)]
+        moves = dist[len(dist) - len(positions):]
+        moves[:] = signs[positions]
+        moves *= 1 - 2 * np.array(before, dtype=np.int32)[:, None]
+        if last is None:
+            dist[0] = codeword_distances(n, walk[0])
+        else:
+            dist[0] += last
+        np.cumsum(dist, axis=0, out=dist)
+        last = dist[-1].copy()
+        yield dist
 
 
 def had_encode(alpha: int, n: int) -> BitFunction:
@@ -262,26 +290,9 @@ def build_path(alpha: int, beta: int, n: int, flip_order: Sequence[int]) -> Code
 def path_distances(path: CodewordPath) -> np.ndarray:
     """(steps, 2^n) int32 matrix whose entry [t, gamma] is the distance of step t to had(gamma).
 
-    Row 0 is one `codeword_distances` call; flipping position x of f then
-    changes the distance to gamma by (-1)^(f(x) + gamma.x), that is by row x
-    of `hadamard_signs`, negated where f(x) was 1.  Every step must change
-    exactly one bit.
+    One `walk_distances` chunk; every step must change exactly one bit.
     """
-    n, steps = path.n, path.steps
-    positions, before = [], []
-    for t in range(len(steps) - 1):
-        delta = steps[t].bits ^ steps[t + 1].bits
-        if delta.bit_count() != 1:
-            raise ValueError(f"path step {t} changes {delta.bit_count()} bits, not one")
-        x = delta.bit_length() - 1
-        positions.append(x)
-        before.append((steps[t].bits >> x) & 1)
-    dist = np.empty((len(steps), 1 << n), dtype=np.int32)
-    dist[0] = codeword_distances(n, steps[0].bits)
-    if positions:
-        dist[1:] = hadamard_signs(n)[positions]
-        dist[1:] *= 1 - 2 * np.array(before, dtype=np.int32)[:, None]
-        np.cumsum(dist, axis=0, out=dist)
+    (dist,) = walk_distances(path.n, [step.bits for step in path.steps], len(path.steps))
     return dist
 
 

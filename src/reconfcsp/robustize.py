@@ -2,14 +2,15 @@
 
 Each vertex of the source graph gets a block of 2^n Boolean variables; each
 edge gets a circuit that list-decodes the two blocks from their distances
-to all 2^n codewords (one `hadamard.codeword_distances` call per block,
-behind a bounded cache; along a walk each is a +-1 update of the previous
-block's distances) and checks the decoded pairs against the source
+to all 2^n codewords and checks the decoded pairs against the source
 constraint.  Codewords sit 2^(n-1) apart, so a block whose nearest
 distance d has d + radius < 2^(n-1) has that codeword as its only
-candidate.  `count_satisfied` keeps the verdicts of its last call and
-re-evaluates only circuits whose blocks changed, so a walk step that moves
-one vertex re-checks the circuits on it alone.  Circuits stay semantic (a
+candidate.  Along a walk, `count_satisfied` keeps each vertex's last block
+with its distances and nearest codeword, decodes only the blocks that
+moved (a block a few bits from the last one by one Hadamard sign row per
+flipped bit) and re-judges only the circuits on them;
+`extract_psi_sequence` decodes each vertex's whole walk from chunked
+distance matrices, one argmin per row.  Circuits stay semantic (a
 predicate over two blocks); only the micro oracle ever materializes their
 truth tables, and only for n <= 3.
 """
@@ -20,8 +21,10 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby, product
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .hadamard import (
     disagreement_set,
     generate_codeword_path,
     had_encode,
+    walk_distances,
 )
 from .seeding import derive_seed, stream
 
@@ -89,26 +93,50 @@ class CircuitSystem:
     original_alphabet: int
 
 
+class _Decoded(NamedTuple):
+    """A block, its distances to every codeword and the nearest (ties to the smaller symbol)."""
+
+    n: int
+    bits: int
+    dist: np.ndarray
+    best: int
+    nearest: int
+
+    def candidates(self, radius: int) -> tuple[int, ...]:
+        """The symbols within `radius`, ascending."""
+        if self.nearest > radius:
+            return ()
+        if self.nearest + radius < 1 << (self.n - 1):  # codewords sit 2^(n-1) apart
+            return (self.best,)
+        return tuple(np.flatnonzero(self.dist <= radius).tolist())
+
+
+def _decode(n: int, bits: int, near: _Decoded | None = None) -> _Decoded:
+    """Decode a block, from `near`'s distances when that block is a few bits away."""
+    known = None if near is None or near.n != n else (near.bits, near.dist)
+    dist = codeword_distances(n, bits, known)
+    best = int(dist.argmin())
+    return _Decoded(n, bits, dist, best, int(dist[best]))
+
+
 @lru_cache(maxsize=4096)
 def _decode_profile(n: int, bits: int, radius: int) -> tuple[int, int, tuple[int, ...]]:
-    """(nearest symbol, nearest Hamming distance, symbols within `radius`).
-
-    Computed from the distances to all 2^n codewords; nearest ties break
-    toward the smallest symbol because argmin returns the first minimum.
-    """
-    dist = codeword_distances(n, bits)
-    best = int(dist.argmin())
-    nearest = int(dist[best])
-    if nearest > radius:
-        return best, nearest, ()
-    if nearest + radius < 1 << (n - 1):  # codewords sit 2^(n-1) apart: no other is this close
-        return best, nearest, (best,)
-    return best, nearest, tuple(np.flatnonzero(dist <= radius).tolist())
+    """(nearest symbol, nearest Hamming distance, symbols within `radius`)."""
+    decoded = _decode(n, bits)
+    return decoded.best, decoded.nearest, decoded.candidates(radius)
 
 
 def decode_block(f: BitFunction) -> int:
     """Symbol whose codeword is nearest to f; ties break to the smaller symbol."""
     return _decode_profile(f.n, f.bits, 0)[0]
+
+
+def _verdict(circuit: RobustCircuit, f: _Decoded, g: _Decoded) -> bool:
+    quarter = quarter_radius(circuit.n)
+    if f.nearest > quarter or g.nearest > quarter:
+        return False
+    radius = clause_two_radius(circuit.n, circuit.weakened)
+    return circuit.pairs.issuperset(product(f.candidates(radius), g.candidates(radius)))
 
 
 def eval_circuit(circuit: RobustCircuit, f: BitFunction, g: BitFunction) -> bool:
@@ -118,37 +146,49 @@ def eval_circuit(circuit: RobustCircuit, f: BitFunction, g: BitFunction) -> bool
     (ii) every pair of symbols within the decoding radius of the respective
     blocks is an accepted pair of the source constraint.
     """
-    n = circuit.n
-    if f.n != n or g.n != n:
-        raise InstanceError(f"length mismatch: circuit expects blocks of 2^{n} bits")
-    radius = clause_two_radius(n, circuit.weakened)
-    _, fd, f_cands = _decode_profile(n, f.bits, radius)
-    _, gd, g_cands = _decode_profile(n, g.bits, radius)
-    quarter = quarter_radius(n)
-    if fd > quarter or gd > quarter:
-        return False
-    return all((a, b) in circuit.pairs for a in f_cands for b in g_cands)
+    _require_length(circuit, f, g)
+    return _verdict(circuit, _decode(f.n, f.bits), _decode(g.n, g.bits))
 
 
-# The last `count_satisfied` call as (system, blocks, verdict per circuit).  A
-# circuit is re-evaluated only when the system is another object or one of its
-# two blocks differs in value from that call.  The entry is replaced whole, so
-# concurrent callers can lose each other's verdicts but never read mixed ones.
-_verdicts: tuple[CircuitSystem | None, dict[str, BitFunction], tuple[bool, ...]] = (None, {}, ())
+def _require_length(circuit: RobustCircuit, *blocks: BitFunction) -> None:
+    if any(block.n != circuit.n for block in blocks):
+        raise InstanceError(f"length mismatch: circuit expects blocks of 2^{circuit.n} bits")
+
+
+# The last `count_satisfied` call: (system, circuit indices per vertex, decoded
+# block per vertex, verdict per circuit), replaced whole, so concurrent callers
+# can lose each other's work but never read mixed state.
+_last_count: tuple = (None, {}, {}, [])
 
 
 def count_satisfied(system: CircuitSystem, sigma: BlockAssignment) -> int:
-    global _verdicts
-    last_system, last_blocks, last = _verdicts
-    blocks = sigma.blocks
-    same = last_system is system
-    verdicts = tuple(
-        last[i]
-        if same and blocks[c.v] == last_blocks[c.v] and blocks[c.w] == last_blocks[c.w]
-        else eval_circuit(c, blocks[c.v], blocks[c.w])
-        for i, c in enumerate(system.circuits)
-    )
-    _verdicts = (system, dict(blocks), verdicts)
+    """How many circuits accept `sigma`: `eval_circuit` on each, summed.
+
+    Only blocks that differ in n or bits from the last call's block of
+    their vertex are decoded, from that block's distances when a few bits
+    away, and only the circuits on them are judged again.
+    """
+    global _last_count
+    last_system, around, decoded, verdicts = _last_count
+    if last_system is not system:
+        around, decoded, verdicts = {}, {}, [False] * len(system.circuits)
+        for i, c in enumerate(system.circuits):
+            around.setdefault(c.v, []).append(i)
+            around.setdefault(c.w, []).append(i)
+    circuits, blocks = system.circuits, sigma.blocks
+    decoded, verdicts, stale = dict(decoded), list(verdicts), set()
+    for v, on in around.items():
+        block, old = blocks[v], decoded.get(v)
+        if old is None or old.bits != block.bits or old.n != block.n:
+            if old is None or old.n != block.n:  # else checked when `old` was decoded
+                for i in on:
+                    _require_length(circuits[i], block)
+            decoded[v] = _decode(block.n, block.bits, old)
+            stale.update(on)
+    for i in stale:
+        c = circuits[i]
+        verdicts[i] = _verdict(c, decoded[c.v], decoded[c.w])
+    _last_count = (system, around, decoded, verdicts)
     return sum(verdicts)
 
 
@@ -271,21 +311,39 @@ def single_bit_change(a: BlockAssignment, b: BlockAssignment) -> tuple[str, int]
 def extract_psi_sequence(
     system: CircuitSystem, sigma_seq: Sequence[BlockAssignment]
 ) -> ReconfigSequence:
-    """Decode each block to its nearest codeword, stepwise, collapsing duplicates."""
+    """Decode each block to its nearest codeword, stepwise, collapsing duplicates.
+
+    Every step is checked before anything is decoded; then each vertex's
+    successive blocks are decoded as one single-bit walk.
+    """
     if not sigma_seq:
         raise InstanceError("sigma sequence must be non-empty")
-    decoded = {v: decode_block(b) for v, b in sigma_seq[0].blocks.items()}
+    walks = {v: [block] for v, block in sigma_seq[0].blocks.items()}
+    moves = []
+    for a, b in zip(sigma_seq, sigma_seq[1:]):
+        change = single_bit_change(a, b)
+        if change is not None:
+            v, _ = change
+            walks[v].append(b.blocks[v])
+            moves.append(v)
+    symbols = {v: iter(_walk_symbols(walk)) for v, walk in walks.items()}
+    decoded = {v: next(symbols[v]) for v in walks}
     steps = [Assignment(dict(decoded))]
-    for t in range(len(sigma_seq) - 1):
-        change = single_bit_change(sigma_seq[t], sigma_seq[t + 1])
-        if change is None:
-            continue
-        v, _ = change
-        symbol = decode_block(sigma_seq[t + 1].blocks[v])
+    for v in moves:
+        symbol = next(symbols[v])
         if symbol != decoded[v]:
             decoded[v] = symbol
             steps.append(Assignment(dict(decoded)))
     return ReconfigSequence(tuple(steps))
+
+
+def _walk_symbols(walk: list[BitFunction]) -> list[int]:
+    """Nearest symbol (argmin) of each block of a walk that changes one bit per step."""
+    symbols = []
+    for n, run in groupby(walk, key=attrgetter("n")):
+        for dist in walk_distances(n, [block.bits for block in run]):
+            symbols += dist.argmin(axis=1).tolist()
+    return symbols
 
 
 def adversarial_block_sequence(

@@ -299,7 +299,7 @@ def test_non_utf8_file_exits_2_naming_it(tmp_path, capsys, command):
     capsys.readouterr()
     assert run(*argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: not UTF-8 text") and "Traceback" not in err
+    assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
 
 
 def test_crlf_instance_reads_equal_to_lf(tmp_path):

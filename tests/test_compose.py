@@ -505,6 +505,19 @@ def test_full_pipeline_trace_covers_every_vertex():
             assert "source_edge" in origin and "twin_pair" in origin
 
 
+def test_trace_json_bytes_equal_the_asdict_form(tmp_path):
+    from reconfcsp.fileio import write_json
+
+    inst = single_edge({(0, 0), (1, 1)}, 4, (0, 0), (1, 1))
+    result = full_pipeline(inst, "micro")
+    inst9, walk = _n9_instance_and_walk()
+    n9 = full_pipeline(inst9, "n9", seed=4, psi_seq=walk)
+    for trace in (result.composed.trace, result.reduction.trace, result.trace, n9.trace):
+        write_json(tmp_path / "to_obj.json", trace.to_obj())
+        write_json(tmp_path / "asdict.json", dataclasses.asdict(trace))
+        assert (tmp_path / "to_obj.json").read_bytes() == (tmp_path / "asdict.json").read_bytes()
+
+
 def test_full_pipeline_errors_are_stage_tagged():
     bad = single_edge({(0, 0)}, 4, (0, 1), (0, 0))
     with pytest.raises(InstanceError, match="stage robustize"):
@@ -513,12 +526,14 @@ def test_full_pipeline_errors_are_stage_tagged():
         full_pipeline(single_edge({(0, 0)}, 4, (0, 0), (0, 0)), "macro")
 
 
-def test_full_pipeline_n9_completeness():
+def _n9_instance_and_walk():
     from reconfcsp.cli import generate_instance
 
-    inst, walk = generate_instance(
-        "path-graph", 3, 512, seed=31, satisfiable=True, walk_length=3
-    )
+    return generate_instance("path-graph", 3, 512, seed=31, satisfiable=True, walk_length=3)
+
+
+def test_full_pipeline_n9_completeness():
+    inst, walk = _n9_instance_and_walk()
     result = full_pipeline(inst, "n9", seed=4, psi_seq=walk)
     assert result.n9_all_satisfied is True
     assert result.n9_steps >= 1

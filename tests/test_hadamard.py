@@ -6,6 +6,7 @@ import threading
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -263,6 +264,20 @@ def test_path_distances_match_scan_at_n9():
         assert dist[t].tolist() == scan_distances(9, f.bits)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 7, 256, None])
+def test_walk_distances_in_chunks_match_scan(rows):
+    path = generate_codeword_path(40, 333, 9, seed=6)
+    walk = [step.bits for step in path.steps] + [path.steps[-2].bits]
+    got = []
+    for dist in hadamard.walk_distances(9, walk, rows):
+        assert len(dist) <= (rows or hadamard.WALK_CHUNK_BYTES // (4 << 9))
+        got += dist.tolist()  # the next chunk overwrites this one
+    assert got == [scan_distances(9, bits) for bits in walk]
+    jumped = walk[:100] + [walk[99] ^ 0b111] + walk[100:]
+    with pytest.raises(ValueError, match="path step 99 changes 3 bits"):
+        list(hadamard.walk_distances(9, jumped, rows))
+
+
 def test_path_distances_reject_multi_bit_step():
     a, b = had_encode(0, 3), had_encode(1, 3)
     path = CodewordPath(3, 0, 1, (a, b), ())
@@ -276,17 +291,17 @@ def test_path_distances_reject_multi_bit_step():
 
 
 def walk_blocks(n: int, seed: int, steps: int, chains: int):
-    """Blocks of `chains` seeded walks, interleaved at random.
+    """(chain, block) pairs of `chains` seeded walks, interleaved at random.
 
-    Each step single-bit flips (most often), jumps a few bits within the
-    memo's limit or beyond it, returns to a block the walks visited earlier,
+    Each step single-bit flips (most often), jumps a few bits within
+    `NEAR_FLIPS` or beyond it, returns to a block the walks visited earlier,
     or repeats the current block.
     """
     rng = stream(seed, "incremental-walk", n, chains)
     length = 1 << n
     heads = [rng.getrandbits(length) for _ in range(chains)]
     seen = list(heads)
-    limit = hadamard._MEMO_FLIPS
+    limit = hadamard.NEAR_FLIPS
     for _ in range(steps):
         c = rng.randrange(chains)
         move = rng.random()
@@ -299,71 +314,82 @@ def walk_blocks(n: int, seed: int, steps: int, chains: int):
         elif move < 0.93:
             heads[c] = rng.choice(seen)
         seen.append(heads[c])
-        yield heads[c]
+        yield c, heads[c]
 
 
 @pytest.mark.parametrize("chains", [1, 4, 12])
 def test_incremental_distances_match_scan_on_walks(chains):
+    # each block from its own chain's last block, and from the last block of
+    # the chain after it: near, far or equal, the answer must be exact
     for n in range(2, 11):
-        hadamard._memo.clear()
-        for bits in walk_blocks(n, 11, 150, chains):
-            assert codeword_distances(n, bits).tolist() == scan_distances(n, bits)
+        last = {}
+        for c, bits in walk_blocks(n, 11, 150, chains):
+            expected = scan_distances(n, bits)
+            other = last.get((c + 1) % chains)
+            assert codeword_distances(n, bits, other).tolist() == expected
+            dist = codeword_distances(n, bits, last.get(c))
+            assert dist.tolist() == expected
+            last[c] = (bits, dist)
 
 
-def test_near_block_takes_the_place_of_its_source():
-    hadamard._memo.clear()
+def test_near_block_takes_the_place_of_its_source(monkeypatch):
+    popcounts = []
+    words = hadamard.codeword_words
+    monkeypatch.setattr(hadamard, "codeword_words", lambda n: popcounts.append(n) or words(n))
     bits = had_encode(5, 9).bits
-    codeword_distances(9, bits)
+    near = (bits, codeword_distances(9, bits))
     for x in (3, 100, 511, 3, 7, 8, 9, 10):
         bits ^= 1 << x
-        assert codeword_distances(9, bits).tolist() == scan_distances(9, bits)
-    assert len(hadamard._memo[9]) == 1
+        near = (bits, codeword_distances(9, bits, near))
+        assert near[1].tolist() == scan_distances(9, bits)
+    assert popcounts == [9]  # only the first block was popcounted
+    jump = bits ^ 0b1111  # four bits away: still sign rows
+    assert codeword_distances(9, jump, near).tolist() == scan_distances(9, jump)
+    assert popcounts == [9]
     far = bits ^ 0b11111  # five bits away: beyond the limit, popcounted afresh
-    assert codeword_distances(9, far).tolist() == scan_distances(9, far)
-    assert len(hadamard._memo[9]) == 2
+    assert codeword_distances(9, far, near).tolist() == scan_distances(9, far)
+    assert popcounts == [9, 9]
 
 
 def test_interleaved_walks_read_the_popcount_kernel():
-    # two single-bit walks taking turns, then their starts and heads again,
-    # exact repeats among them: the memo scan must find the right entry or
-    # popcount afresh
+    # two single-bit walks taking turns, each answered from its own last block,
+    # then their starts and heads answered from the other walk's head, exact
+    # repeats among them: each must equal a fresh popcount
     n = 9
     rng = stream(8, "interleaved-walks")
     heads = [had_encode(3, n).bits, rng.getrandbits(1 << n)]
     starts = list(heads)
-    sequence = []
+    last = [(bits, codeword_distances(n, bits)) for bits in heads]
     for t in range(300):
-        heads[t % 2] ^= 1 << rng.randrange(1 << n)
-        sequence.append(heads[t % 2])
-        if t % 50 == 49:
-            sequence.append(sequence[-3])  # this walk's previous block, one flip back
-    sequence += starts + [heads[1], heads[0]] + starts[::-1]
-    expected = []
-    for bits in sequence:
-        hadamard._memo.clear()
-        expected.append(codeword_distances(n, bits).tolist())
-    hadamard._memo.clear()
-    for bits, distances in zip(sequence, expected):
-        assert codeword_distances(n, bits).tolist() == distances
-        assert len(hadamard._memo[n]) <= hadamard._MEMO_SIZE
+        walk = t % 2
+        # every 50th step repeats this walk's block: no bit flipped
+        bits = heads[walk] if t % 50 == 49 else heads[walk] ^ (1 << rng.randrange(1 << n))
+        dist = codeword_distances(n, bits, last[walk])
+        assert dist.tolist() == codeword_distances(n, bits).tolist()
+        heads[walk], last[walk] = bits, (bits, dist)
+    for bits in starts + [heads[1], heads[0]] + starts[::-1]:
+        for source in last:
+            assert codeword_distances(n, bits, source).tolist() == scan_distances(n, bits)
 
 
-def test_memo_stays_bounded_and_results_are_read_only():
-    hadamard._memo.clear()
-    for bits in walk_blocks(6, 3, 10_000, 12):
-        dist = codeword_distances(6, bits)
-        assert not dist.flags.writeable
-        assert len(hadamard._memo[6]) <= hadamard._MEMO_SIZE
-    assert dist.tolist() == scan_distances(6, bits)
-    with pytest.raises(ValueError, match="read-only"):
-        dist[0] = 0
+def test_near_distances_leave_the_source_unchanged():
+    previous = None
+    for _, bits in walk_blocks(6, 3, 10_000, 12):
+        kept = None if previous is None else previous[1].copy()
+        dist = codeword_distances(6, bits, previous)
+        if previous is not None:
+            assert previous[1].tolist() == kept.tolist()
+        previous = (bits, dist)
+    assert dist.dtype == np.int32 and dist.tolist() == scan_distances(6, bits)
 
 
 def test_concurrent_walks_read_exact_distances():
     def walk(chains, errors):
         try:
-            for bits in walk_blocks(7, 5, 400, chains):
-                if codeword_distances(7, bits).tolist() != scan_distances(7, bits):
+            last = {}
+            for c, bits in walk_blocks(7, 5, 400, chains):
+                last[c] = (bits, codeword_distances(7, bits, last.get(c)))
+                if last[c][1].tolist() != scan_distances(7, bits):
                     errors.append(bits)
         except Exception as exc:  # a thread's exception would otherwise be lost
             errors.append(exc)

@@ -1,6 +1,15 @@
+import random
+import re
+import sys
+import tempfile
+import threading
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reconfcsp.constants import FARNESS_MARGIN, QUARTER, clause_two_radius, quarter_radius
 from reconfcsp.core import (
@@ -240,14 +249,14 @@ def test_decode_profile_matches_scan_on_exact_ties():
             assert hamming(mid, had_encode(alpha, n)) == hamming(mid, had_encode(beta, n))
             assert hamming(mid, had_encode(alpha, n)) == 1 << (n - 2)
             # the midpoint popcounted afresh, then reached one bit at a time from had(alpha)
-            for approach in ((), path.steps[:half]):
+            walked = rb._decode(n, path.steps[0].bits)
+            for step in path.steps[1 : half + 1]:
+                walked = rb._decode(n, step.bits, walked)
+            for radius in (0, quarter_radius(n), clause_two_radius(n)):
+                expected = scan_decode_profile(n, mid.bits, radius)
                 _decode_profile.cache_clear()
-                hadamard._memo.clear()
-                for step in approach:
-                    _decode_profile(n, step.bits, 0)
-                for radius in (0, quarter_radius(n), clause_two_radius(n)):
-                    expected = scan_decode_profile(n, mid.bits, radius)
-                    assert _decode_profile(n, mid.bits, radius) == expected
+                assert _decode_profile(n, mid.bits, radius) == expected
+                assert (walked.best, walked.nearest, walked.candidates(radius)) == expected
             if n == 9:  # no third codeword is as close: the tie goes to the smaller symbol
                 assert decode_block(mid) == min(alpha, beta)
 
@@ -271,7 +280,6 @@ def test_decode_profile_matches_scan_at_unique_decoding_boundary():
                     for x in flips:
                         bits ^= 1 << x
                     _decode_profile.cache_clear()
-                    hadamard._memo.clear()
                     assert _decode_profile(n, bits, radius) == scan_decode_profile(n, bits, radius)
                 bits = had_encode(alpha, n).bits
                 for x in inside:
@@ -374,7 +382,7 @@ def test_extract_rejects_multibit_steps():
 
 
 # ---------------------------------------------------------------------------
-# The circuit-verdict memo of count_satisfied
+# Per-step decoding in count_satisfied and extract_psi_sequence
 # ---------------------------------------------------------------------------
 
 
@@ -420,7 +428,7 @@ def test_count_satisfied_alternating_strict_and_weakened_systems():
         for system in (strict, weak):
             counts.append(count_satisfied(system, sigma))
             assert counts[-1] == fresh_count(system, sigma)
-            assert rb._verdicts[0] is system  # one system at a time, never more
+            assert rb._last_count[0] is system  # one system at a time, never more
     assert counts[0::2] != counts[1::2]
 
 
@@ -445,16 +453,223 @@ def test_count_satisfied_reevaluates_only_moved_circuits(monkeypatch):
     inst, walk = _satisfying_walk_instance(seed=41, vertices=4)
     system = robustize(inst)
     spliced = completeness_sequence(system, walk, seed=1)
-    # the fake verdicts below must not outlive this test
-    monkeypatch.setattr(rb, "_verdicts", (None, {}, ()))
+    # the state left by the spies below must not outlive this test
+    monkeypatch.setattr(rb, "_last_count", (None, {}, {}, []))
+    decodes, judged = [], []
+    decode, verdict = rb._decode, rb._verdict
+
+    def spy_decode(n, bits, near=None):
+        decodes.append((bits, near))
+        return decode(n, bits, near)
+
+    def spy_verdict(c, f, g):
+        judged.append(c)
+        return verdict(c, f, g)
+
+    monkeypatch.setattr(rb, "_decode", spy_decode)
+    monkeypatch.setattr(rb, "_verdict", spy_verdict)
     count_satisfied(system, spliced[0])
-    calls = []
-    monkeypatch.setattr(rb, "eval_circuit", lambda c, f, g: calls.append(c) or True)
+    assert sorted(judged, key=lambda c: c.edge_index) == list(system.circuits)
+    assert [near for _, near in decodes] == [None] * len(system.graph.vertices)
     for a, b in zip(spliced, spliced[1:]):
-        calls.clear()
-        count_satisfied(system, b)
+        decodes.clear()
+        judged.clear()
+        assert count_satisfied(system, b) == len(system.circuits)
         moved, _ = single_bit_change(a, b)
-        assert calls and all(moved in (c.v, c.w) for c in calls)
+        # the moved block alone is decoded, once, from its vertex's last block
+        assert [(bits, near.bits) for bits, near in decodes] == [
+            (b.blocks[moved].bits, a.blocks[moved].bits)
+        ]
+        on_moved = [c for c in system.circuits if moved in (c.v, c.w)]
+        assert sorted(judged, key=lambda c: c.edge_index) == on_moved
+
+
+def test_count_satisfied_sees_blocks_changed_in_place():
+    system = robustize(path_graph_instance(512, [{"u": 0, "v": 1, "w": 2}]))
+    sigma = system.sigma_ini
+    assert count_satisfied(system, sigma) == 2
+    # the same block object with other bits, then the same assignment with another block
+    object.__setattr__(sigma.blocks["u"], "bits", had_encode(7, 9).bits)
+    assert count_satisfied(system, sigma) == fresh_count(system, sigma) == 1
+    sigma.blocks["w"] = had_encode(7, 9)
+    assert count_satisfied(system, sigma) == fresh_count(system, sigma) == 0
+
+
+def test_concurrent_counts_match_fresh_evaluation():
+    inst, walk = _satisfying_walk_instance(seed=43)
+    systems = [robustize(inst), robustize(inst, weakened=True)]
+    walks = [adversarial_block_sequence(systems[0], seed=s, scramble=200) for s in (1, 2)]
+    expected = {
+        (i, j): [fresh_count(system, sigma) for sigma in w]
+        for i, system in enumerate(systems)
+        for j, w in enumerate(walks)
+    }
+
+    def count(i, j, errors):
+        try:
+            if [count_satisfied(systems[i], sigma) for sigma in walks[j]] != expected[i, j]:
+                errors.append((i, j))
+        except Exception as exc:  # a thread's exception would otherwise be lost
+            errors.append(exc)
+
+    errors = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # two threads on each (system, walk): same system and walk, same system
+        # and another walk, and another system, all at once
+        threads = [
+            threading.Thread(target=count, args=(*key, errors)) for key in list(expected) * 2
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+# ---------------------------------------------------------------------------
+# Both decoders against per-step references on random walks
+# ---------------------------------------------------------------------------
+
+
+def reference_extract(system, sigma_seq) -> ReconfigSequence:
+    """Every moved block decoded on its own by `decode_block`, step by step."""
+    decoded = {v: decode_block(b) for v, b in sigma_seq[0].blocks.items()}
+    steps = [Assignment(dict(decoded))]
+    for a, b in zip(sigma_seq, sigma_seq[1:]):
+        change = single_bit_change(a, b)
+        if change is None:
+            continue
+        symbol = decode_block(b.blocks[change[0]])
+        if symbol != decoded[change[0]]:
+            decoded[change[0]] = symbol
+            steps.append(Assignment(dict(decoded)))
+    return ReconfigSequence(tuple(steps))
+
+
+MOVES = ("flip",) * 6 + ("jump", "repeat", "codeword", "midpoint", "wrong-n", "reread")
+
+
+def random_walk_calls(n: int, moves, directory: Path):
+    """(system, sigma) calls of a walk on the chain u-v-w, strict or weakened as `moves` say.
+
+    Single-bit flips, multi-bit jumps, exact repeats, codewords, blocks a
+    bit either side of a midpoint between two codewords, and steps read back
+    from a written sequence file (new objects, equal bits) follow one
+    another; a one-off call puts an all-zero block of another n in place.
+    """
+    alphabet = 1 << n
+    inst = path_graph_instance(
+        alphabet, [{"u": 0, "v": 1, "w": 2 % alphabet}, {"u": 3 % alphabet, "v": 1, "w": 0}]
+    )
+    systems = (robustize(inst), robustize(inst, weakened=True))
+    sigma = systems[0].sigma_ini
+    calls = [(systems[0], sigma)]
+    for t, (kind, vertex, r, weakened) in enumerate(moves):
+        system, v, rng = systems[weakened], "uvw"[vertex], random.Random(r)
+        block = sigma.blocks[v]
+        if kind == "flip":
+            block = block.flip(r % block.length)
+        elif kind == "jump":
+            for x in rng.sample(range(block.length), min(block.length, rng.randint(2, 8))):
+                block = block.flip(x)
+        elif kind == "codeword":
+            block = had_encode(r % alphabet, n)
+        elif kind == "midpoint":
+            alpha, beta = rng.sample(range(min(alphabet, 6)), 2)
+            block = had_encode(alpha, n)
+            flips = sorted(disagreement_set(alpha, beta, n))
+            for x in flips[: (1 << (n - 2)) + rng.choice((-1, 0, 1))]:
+                block = block.flip(x)
+        elif kind == "wrong-n":
+            wrong = BitFunction(n + 1 if r % 2 or n == 2 else n - 1, 0)
+            calls.append((system, sigma.with_block(v, wrong)))
+            continue
+        if kind == "reread":
+            path = directory / f"step{t}.json"
+            write_json(path, {"steps": [blocks_to_obj(sigma)]})
+            (sigma,) = read_block_sequence(system, path)
+        elif kind != "repeat":
+            sigma = sigma.with_block(v, block)
+        calls.append((system, sigma))
+    return calls
+
+
+def bit_by_bit(calls):
+    """The calls with every multi-bit change walked one bit at a time first.
+
+    A block that changes n takes the larger n on the way.
+    """
+    out = [calls[0]]
+    for system, target in calls[1:]:
+        sigma = out[-1][1]
+        for v, block in target.blocks.items():
+            n = max(block.n, sigma.blocks[v].n)
+            delta = sigma.blocks[v].bits ^ block.bits
+            while delta:
+                low = delta & -delta
+                delta ^= low
+                sigma = sigma.with_block(v, BitFunction(n, sigma.blocks[v].bits ^ low))
+                out.append((system, sigma))
+        out.append((system, target))
+    return out
+
+
+def assert_same_outcome(reference, tested, *args):
+    """`tested(*args)` returns what `reference(*args)` does, or raises the same InstanceError."""
+    try:
+        expected = reference(*args)
+    except InstanceError as exc:
+        with pytest.raises(InstanceError, match=re.escape(str(exc))):
+            tested(*args)
+    else:
+        assert tested(*args) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.just(10), st.integers(2, 9)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(MOVES), st.integers(0, 2), st.integers(0, 2**32), st.booleans()
+        ),
+        max_size=30,
+    ),
+)
+def test_decoders_match_per_step_references_on_random_walks(n, moves):
+    with tempfile.TemporaryDirectory() as directory:
+        calls = random_walk_calls(n, moves, Path(directory))
+    walked = bit_by_bit(calls)
+    for system, sigma in calls + walked:
+        assert_same_outcome(fresh_count, count_satisfied, system, sigma)
+    for walk in ([sigma for _, sigma in calls], [sigma for _, sigma in walked]):
+        assert_same_outcome(reference_extract, extract_psi_sequence, calls[0][0], walk)
+
+
+def test_extracting_a_long_n12_walk_holds_one_chunk_of_distances():
+    n = 12
+    system = robustize(single_edge({(5, 5), (9, 5)}, 1 << n, (5, 5), (5, 5)))
+    # 5 chunks of single-bit steps on vertex u, from had(5) past the midpoint to had(9)
+    steps = 5 * (hadamard.WALK_CHUNK_BYTES // (4 << n))
+    walk = [system.sigma_ini]
+    for x in stream(4, "long-walk").sample(sorted(disagreement_set(5, 9, n)), steps):
+        walk.append(walk[-1].flip("u", x))
+    expected = reference_extract(system, walk)
+    assert expected.steps[-1].values == {"u": 9, "w": 5}
+    hadamard.hadamard_signs(n)  # the 16 MiB sign table is built once per n, not per walk
+    tracemalloc.start()
+    try:
+        extracted = extract_psi_sequence(system, walk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert extracted == expected
+    # one chunk of rows and the first row's popcount, not the walk's whole matrix
+    assert peak < 2 * hadamard.WALK_CHUNK_BYTES < len(walk) * (4 << n) / 2
 
 
 def test_soundness_triangle_inequality_witnesses_at_n9():
