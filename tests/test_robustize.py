@@ -428,7 +428,8 @@ def test_count_satisfied_alternating_strict_and_weakened_systems():
         for system in (strict, weak):
             counts.append(count_satisfied(system, sigma))
             assert counts[-1] == fresh_count(system, sigma)
-            assert rb._last_count[0] is system  # one system at a time, never more
+            # one system at a time, never more, and one decoded block per vertex
+            assert rb._last_count[0] is system and set(rb._last_count[2]) == {"u", "w"}
     assert counts[0::2] != counts[1::2]
 
 
