@@ -314,6 +314,19 @@ def find_close_step(path: CodewordPath, radius: Fraction) -> tuple[int, int, Fra
     return _first_close(path, path_distances(path), radius)
 
 
+def farness_violation(
+    path: CodewordPath, dist: np.ndarray | None = None
+) -> tuple[int, int, Fraction] | None:
+    """First (step, gamma, distance) with a third codeword within 1/4 + FARNESS_MARGIN, else None.
+
+    The path is far from every other codeword exactly when this is None.
+    `dist` is the path's `path_distances`, computed here when not given.
+    """
+    if dist is None:
+        dist = path_distances(path)
+    return _first_close(path, dist, QUARTER + FARNESS_MARGIN)
+
+
 def verify_codeword_path(path: CodewordPath) -> PathReport:
     """Exhaustively check structure, quarter-closeness, and third-codeword farness.
 
@@ -333,20 +346,18 @@ def verify_codeword_path(path: CodewordPath) -> PathReport:
         return PathReport(False, "structure", detail="wrong number of steps")
     if sorted(path.flip_order) != sorted(d_set):
         return PathReport(False, "structure", detail="flip order is not a permutation of D")
-    for t in range(len(path.steps) - 1):
-        delta = path.steps[t].bits ^ path.steps[t + 1].bits
-        if delta.bit_count() != 1:
-            return PathReport(False, "structure", t, detail="step changes more than one bit")
-        position = delta.bit_length() - 1
-        if position not in d_set:
+    # flip_order is a permutation of D, so each step flips one position of D
+    steps = path.steps
+    for t, position in enumerate(path.flip_order):
+        if steps[t].bits ^ steps[t + 1].bits != 1 << position:
             return PathReport(False, "structure", t,
-                              detail=f"flipped position {position} lies outside D")
+                              detail=f"step does not flip position {position} of the flip order")
     dist = path_distances(path)
     far = np.minimum(dist[:, path.alpha], dist[:, path.beta]) > (1 << n) // 4
     if far.any():
         return PathReport(False, "distance", int(far.argmax()),
                           detail="step farther than 1/4 from both endpoints")
-    hit = _first_close(path, dist, QUARTER + FARNESS_MARGIN)
+    hit = farness_violation(path, dist)
     if hit is not None:
         t, gamma, distance = hit
         return PathReport(False, "distance", t, gamma, distance,

@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from reconfcsp import core
+from reconfcsp import cli, core
 from reconfcsp.cli import main, write_text_atomic
 from reconfcsp.core import value
 
@@ -418,6 +419,38 @@ def test_env_override_seed(tmp_path, capsys, monkeypatch):
     assert run("generate", "--kind", "path-graph", "--vertices", 3, "--alphabet", 4,
                "--satisfiable", "--out", out) == 0
     assert "seed: 123" in capsys.readouterr().out
+
+
+def test_parser_cache_key_names_every_env_default(monkeypatch):
+    read = []
+
+    class Recording(dict):
+        def get(self, key, default=None):
+            read.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(os, "environ", Recording(os.environ))
+    cli.build_parser()
+    # argparse itself may read other variables; every RECONF_ default must be in the key
+    assert {key for key in read if key.startswith("RECONF_")} == set(cli.PARSER_ENV)
+
+
+def test_parser_is_rebuilt_when_the_environment_changes(tmp_path, capsys, monkeypatch):
+    def generate():
+        assert run("generate", "--kind", "path-graph", "--vertices", 3, "--alphabet", 4,
+                   "--satisfiable", "--out", tmp_path / "env.json") == 0
+        return capsys.readouterr().out
+
+    cli._parser_for.cache_clear()
+    monkeypatch.setenv("RECONF_SEED", "123")
+    assert "seed: 123" in generate()
+    monkeypatch.setenv("RECONF_SEED", "456")
+    assert "seed: 456" in generate()
+    assert "seed: 456" in generate()
+    info = cli._parser_for.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+    assert (info.misses, info.hits) == (2, 1)
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):

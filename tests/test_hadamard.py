@@ -23,6 +23,7 @@ from reconfcsp.hadamard import (
     disagreement_set,
     distance_profile,
     exhaust_flip_orders,
+    farness_violation,
     find_close_step,
     generate_codeword_path,
     had_encode,
@@ -139,6 +140,33 @@ def test_verify_rejects_flip_outside_d():
     path = build_path(0, 1, 4, order)
     report = verify_codeword_path(path)
     assert not report.ok and report.kind == "structure"
+
+
+def test_verify_rejects_a_flip_order_its_steps_do_not_follow():
+    path = generate_codeword_path(40, 333, 9, seed=6)
+    assert verify_codeword_path(path).ok
+    order = tuple(reversed(path.flip_order))  # still a permutation of D
+    report = verify_codeword_path(CodewordPath(path.n, path.alpha, path.beta, path.steps, order))
+    assert not report.ok and report.kind == "structure" and report.step == 0
+    assert report.detail == f"step does not flip position {order[0]} of the flip order"
+
+
+def profile_is_far(path):
+    """The per-row farness check `experiment fig2-profile` made on the distance profile."""
+    length = 1 << path.n
+    far = QUARTER + FARNESS_MARGIN
+    return all(Fraction(row[3], length) > far for row in distance_profile(path))
+
+
+def test_farness_violation_agrees_with_the_profile_predicate():
+    paths = [generate_codeword_path(alpha, beta, 9, seed=seed)
+             for alpha, beta, seed in ((40, 333, 6), (17, 401, 3), (500, 2, 7))]
+    near = generate_codeword_path(15, 13, 4, seed=2)  # n < 9 paths are not verified
+    assert not profile_is_far(near)
+    assert farness_violation(near) == (4, 8, Fraction(1, 4))
+    for path in paths:
+        assert profile_is_far(path) and farness_violation(path) is None
+        assert farness_violation(path, path_distances(path)) is None
 
 
 def test_verify_reports_distance_failure_at_n3():
