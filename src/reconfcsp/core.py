@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -50,14 +50,9 @@ class AcceptSet:
     another set, and read by `len`, `in`, `==` and iteration, which yields
     the tuples in sorted order.  A set handed alphabets other than its own
     is re-encoded and range-checked tuple by tuple, never reinterpreted.
-
-    A set built from Python tuples keeps the int frozenset its encoding made,
-    answers `in` from it and decodes it in Python; an array-built set
-    answers `in` by binary search and decodes with numpy, so a few lookups
-    never build a set over a large one.
     """
 
-    __slots__ = ("_sizes", "_codes", "_members")
+    __slots__ = ("_sizes", "_codes")
 
     def __new__(cls, tuples: Iterable[Sequence[int]], sizes: Sequence[int]) -> "AcceptSet":
         sizes = tuple(sizes)
@@ -81,7 +76,7 @@ class AcceptSet:
             if codes[0] < 0 or codes[-1] > space - 1:
                 bad = codes[0] if codes[0] < 0 else codes[-1]
                 raise InstanceError(f"accept: code {bad} outside [0, {space})")
-        return _make(sizes, codes=np.array(codes, dtype=np.int64))
+        return _make(sizes, np.array(codes, dtype=np.int64))
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -89,14 +84,10 @@ class AcceptSet:
 
     @property
     def codes(self) -> np.ndarray:
-        if self._codes is None:
-            codes = np.array(sorted(self._members), dtype=np.int64)
-            codes.flags.writeable = False
-            self._codes = codes
         return self._codes
 
     def __len__(self) -> int:
-        return len(self._members) if self._members is not None else len(self._codes)
+        return len(self._codes)
 
     def __contains__(self, tup) -> bool:
         return len(tup) == len(self._sizes) and self._accepts(tup)
@@ -108,33 +99,19 @@ class AcceptSet:
             if not 0 <= sym < size:
                 return False
             code = code * size + sym
-        if self._members is not None:
-            return code in self._members
         at = self._codes.searchsorted(code)
         return bool(at < len(self._codes) and self._codes[at] == code)
 
     def _rows(self) -> np.ndarray:
         """The tuples as a (count, q) int64 array, in lexicographic order."""
-        codes = self.codes
+        codes = self._codes
         rows = np.empty((len(codes), len(self._sizes)), dtype=np.int64)
         for coord in reversed(range(len(self._sizes))):
             codes, rows[:, coord] = np.divmod(codes, self._sizes[coord])
         return rows
 
     def __iter__(self):
-        if self._members is None:
-            return map(tuple, self._rows().tolist())
-        codes = sorted(self._members)
-        if len(self._sizes) == 2:
-            # a binary code is |S_2| * t1 + t2
-            return map(divmod, codes, repeat(self._sizes[1]))
-        if not codes:
-            return iter(())
-        columns = []
-        for size in reversed(self._sizes[1:]):
-            codes, column = zip(*map(divmod, codes, repeat(size)))
-            columns.append(column)
-        return zip(codes, *reversed(columns))
+        return map(tuple, self._rows().tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AcceptSet):
@@ -142,20 +119,17 @@ class AcceptSet:
         if len(self) != len(other):
             return False
         if self._sizes == other._sizes:
-            if self._members is not None and other._members is not None:
-                return self._members == other._members
-            return bool(np.array_equal(self.codes, other.codes))
+            return bool(np.array_equal(self._codes, other._codes))
         return len(self) == 0 or bool(np.array_equal(self._rows(), other._rows()))
 
     def __repr__(self) -> str:
         return f"AcceptSet({len(self)} tuples over alphabets {self._sizes})"
 
 
-def _make(sizes: tuple[int, ...], codes=None, members=None) -> AcceptSet:
+def _make(sizes: tuple[int, ...], codes: np.ndarray) -> AcceptSet:
     acc = object.__new__(AcceptSet)
-    acc._sizes, acc._codes, acc._members = sizes, codes, members
-    if codes is not None:
-        codes.flags.writeable = False
+    acc._sizes, acc._codes = sizes, codes
+    codes.flags.writeable = False
     return acc
 
 
@@ -173,7 +147,7 @@ def _pack(tuples, sizes: tuple[int, ...], names) -> AcceptSet:
     codes = _encode(tuples, sizes)
     if codes is None:
         raise _tuple_error(tuples, sizes, names)
-    return _make(sizes, members=frozenset(codes))
+    return _make(sizes, np.array(sorted(set(codes)), dtype=np.int64))
 
 
 # Containers of tuples that `_pack` reads twice (to encode, then to name an error).
@@ -243,7 +217,7 @@ def _pack_rows(rows: np.ndarray, sizes: tuple[int, ...], names) -> AcceptSet:
         codes = codes * size + rows[:, coord]
     if len(codes) and not (codes[1:] > codes[:-1]).all():
         codes = np.unique(codes)
-    return _make(sizes, codes=codes)
+    return _make(sizes, codes)
 
 
 @dataclass(frozen=True, eq=False)

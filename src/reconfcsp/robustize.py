@@ -119,16 +119,9 @@ def _decode(n: int, bits: int, near: _Decoded | None = None) -> _Decoded:
     return _Decoded(n, bits, dist, best, int(dist[best]))
 
 
-@lru_cache(maxsize=4096)
-def _decode_profile(n: int, bits: int, radius: int) -> tuple[int, int, tuple[int, ...]]:
-    """(nearest symbol, nearest Hamming distance, symbols within `radius`)."""
-    decoded = _decode(n, bits)
-    return decoded.best, decoded.nearest, decoded.candidates(radius)
-
-
 def decode_block(f: BitFunction) -> int:
     """Symbol whose codeword is nearest to f; ties break to the smaller symbol."""
-    return _decode_profile(f.n, f.bits, 0)[0]
+    return _decode(f.n, f.bits).best
 
 
 def _verdict(circuit: RobustCircuit, f: _Decoded, g: _Decoded) -> bool:
@@ -396,8 +389,8 @@ def _side_profiles(n: int, radius: int) -> tuple[tuple[bool, tuple[int, ...]], .
     quarter = quarter_radius(n)
     out = []
     for bits in range(1 << (1 << n)):
-        _, dist, cands = _decode_profile(n, bits, radius)
-        out.append((dist <= quarter, cands))
+        decoded = _decode(n, bits)
+        out.append((decoded.nearest <= quarter, decoded.candidates(radius)))
     return tuple(out)
 
 

@@ -426,17 +426,53 @@ PAIRS = [(0, 1), (2, 3), (1, 1), (3, 0)]
 
 
 def test_accept_set_tuple_and_code_built_agree():
-    from_tuples = AcceptSet(set(PAIRS), (4, 4))
     # big-endian codes over (4, 4): (a, b) -> 4a + b
     from_codes = AcceptSet.from_codes(np.array([1, 5, 11, 12]), (4, 4))
     from_rows = AcceptSet(np.array(PAIRS[::-1] + PAIRS), (4, 4))
-    assert from_tuples == from_codes == from_rows
-    assert list(from_tuples) == list(from_codes) == sorted(PAIRS)
-    assert np.array_equal(from_tuples.codes, from_codes.codes)
-    assert len(from_tuples) == len(from_codes) == len(from_rows) == len(PAIRS)
-    for a, b in itertools.product(range(5), repeat=2):
-        assert ((a, b) in from_tuples) == ((a, b) in from_codes) == ((a, b) in PAIRS)
-    assert (0, 1, 0) not in from_codes and (-1, 1) not in from_tuples
+    tuple_inputs = {
+        "set": set(PAIRS),
+        "generator": (pair for pair in PAIRS),
+        "list of lists": [list(pair) for pair in PAIRS],
+        "numpy symbols": [tuple(map(np.int16, pair)) for pair in PAIRS],
+        "duplicates": PAIRS + PAIRS[::-1],
+    }
+    for kind, tuples in tuple_inputs.items():
+        from_tuples = AcceptSet(tuples, (4, 4))
+        assert from_tuples == from_codes == from_rows, kind
+        assert list(from_tuples) == list(from_codes) == sorted(PAIRS), kind
+        assert np.array_equal(from_tuples.codes, from_codes.codes), kind
+        assert from_tuples.codes.dtype == np.int64, kind
+        assert len(from_tuples) == len(from_codes) == len(from_rows) == len(PAIRS), kind
+        for a, b in itertools.product(range(5), repeat=2):
+            assert ((a, b) in from_tuples) == ((a, b) in from_codes) == ((a, b) in PAIRS), kind
+        assert (0, 1, 0) not in from_codes and (-1, 1) not in from_tuples, kind
+    empty = AcceptSet([], (4, 4))
+    assert empty == AcceptSet.from_codes(np.array([], dtype=np.int64), (4, 4))
+    assert empty == AcceptSet([], (2, 3))
+    assert list(empty) == [] and len(empty) == 0 and (0, 0) not in empty
+    assert empty.codes.dtype == np.int64 and empty.codes.shape == (0,)
+    # the same tuples over other alphabets are the same set; other tuples are not
+    for sizes in ((5, 8), (4, 1 << 20), (1 << 31, 4)):
+        over = AcceptSet(np.array(PAIRS), sizes)
+        assert AcceptSet(set(PAIRS), (4, 4)) == over == AcceptSet(PAIRS, sizes)
+        assert list(over) == sorted(PAIRS)
+        assert AcceptSet(PAIRS[1:], (4, 4)) != over != AcceptSet([(0, 2), *PAIRS[1:]], (4, 4))
+
+
+@pytest.mark.parametrize("tuples, message", [
+    ([(1.0, 2)], "accept[0]: symbol 1.0 is not an integer"),
+    ([(0, "a")], "accept[0]: symbol 'a' is not an integer"),
+    ([(0, 1), None], "accept[1]: expected a tuple of symbols, got None"),
+    ([(0, 1), (2,)], "accept[1]: arity mismatch"),
+    ([(0, 1, 2)], "accept[0]: arity mismatch"),
+    ([(1 << 63, 0)],
+     "accept[0]: symbol 9223372036854775808 out of range for coordinate 0 (alphabet 4)"),
+    ([(0, -1)], "accept[0]: symbol -1 out of range for coordinate 1 (alphabet 4)"),
+], ids=["float", "string", "none-row", "ragged", "three-tuple", "beyond-int64", "negative"])
+def test_accept_set_from_tuples_rejects(tuples, message):
+    with pytest.raises(InstanceError) as caught:
+        AcceptSet(tuples, (4, 4))
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("codes, sizes, match", [

@@ -32,7 +32,6 @@ from reconfcsp.hadamard import (
 from reconfcsp.robustize import (
     BlockAssignment,
     RobustCircuit,
-    _decode_profile,
     adversarial_block_sequence,
     blocks_to_obj,
     completeness_sequence,
@@ -252,10 +251,10 @@ def test_decode_profile_matches_scan_on_exact_ties():
             walked = rb._decode(n, path.steps[0].bits)
             for step in path.steps[1 : half + 1]:
                 walked = rb._decode(n, step.bits, walked)
+            fresh = rb._decode(n, mid.bits)
             for radius in (0, quarter_radius(n), clause_two_radius(n)):
                 expected = scan_decode_profile(n, mid.bits, radius)
-                _decode_profile.cache_clear()
-                assert _decode_profile(n, mid.bits, radius) == expected
+                assert (fresh.best, fresh.nearest, fresh.candidates(radius)) == expected
                 assert (walked.best, walked.nearest, walked.candidates(radius)) == expected
             if n == 9:  # no third codeword is as close: the tie goes to the smaller symbol
                 assert decode_block(mid) == min(alpha, beta)
@@ -279,19 +278,16 @@ def test_decode_profile_matches_scan_at_unique_decoding_boundary():
                     bits = had_encode(alpha, n).bits
                     for x in flips:
                         bits ^= 1 << x
-                    _decode_profile.cache_clear()
-                    assert _decode_profile(n, bits, radius) == scan_decode_profile(n, bits, radius)
+                    decoded = rb._decode(n, bits)
+                    got = (decoded.best, decoded.nearest, decoded.candidates(radius))
+                    assert got == scan_decode_profile(n, bits, radius)
                 bits = had_encode(alpha, n).bits
                 for x in inside:
                     bits ^= 1 << x
-                _, nearest, cands = _decode_profile(n, bits, radius)
-                assert nearest == min(d, half - d)
+                decoded = rb._decode(n, bits)
+                assert decoded.nearest == min(d, half - d)
                 if d <= radius and half - d <= radius:  # the scan, not the shortcut
-                    assert {alpha, beta} <= set(cands)
-
-
-def test_decode_profile_cache_is_bounded():
-    assert _decode_profile.cache_info().maxsize is not None
+                    assert {alpha, beta} <= set(decoded.candidates(radius))
 
 
 # ---------------------------------------------------------------------------
