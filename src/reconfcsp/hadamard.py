@@ -13,9 +13,9 @@ to had(gamma) by +-(-1)^(x.gamma), row x of the cached Hadamard sign table
 Hamming units).  `codeword_distances` popcounts a block, or updates the
 distances of a block a few bits away that the caller already has;
 `walk_distances` gives the (step x codeword) matrix of a single-bit walk by
-a cumulative sum of updates, in chunks of bounded size.  Nothing here
-remembers a block between calls.  Path checks, distance profiles and block
-decoding read from these.
+a running sum of updates, in chunks of bounded size.  Nothing here
+remembers a block between calls.  Path checks and distance profiles read a
+path one chunk at a time; block decoding reads `codeword_distances`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -165,8 +165,9 @@ def walk_distances(
     if rows is None:
         rows = max(1, WALK_CHUNK_BYTES // (4 << n))
     signs = hadamard_signs(n)
+    # popcounted before the buffer is allocated, so their peaks do not add
+    last = codeword_distances(n, walk[0]) if walk else None
     buffer = np.empty((min(rows, len(walk)), 1 << n), dtype=np.int32)
-    last = None
     for start in range(0, len(walk), rows):
         positions, before = [], []
         for t in range(max(start, 1), min(start + rows, len(walk))):
@@ -180,11 +181,12 @@ def walk_distances(
         moves = dist[len(dist) - len(positions):]
         moves[:] = signs[positions]
         moves *= 1 - 2 * np.array(before, dtype=np.int32)[:, None]
-        if last is None:
-            dist[0] = codeword_distances(n, walk[0])
-        else:
+        if start:
             dist[0] += last
-        np.cumsum(dist, axis=0, out=dist)
+        else:
+            dist[0] = last
+        for t in range(1, len(dist)):  # numpy's accumulate down axis 0 is 2-3x slower
+            dist[t] += dist[t - 1]
         last = dist[-1].copy()
         yield dist
 
@@ -296,22 +298,31 @@ def path_distances(path: CodewordPath) -> np.ndarray:
     return dist
 
 
+def _path_chunks(path: CodewordPath) -> Iterator[tuple[int, np.ndarray]]:
+    """(first step, distances) of each `walk_distances` chunk of the path."""
+    start = 0
+    for dist in walk_distances(path.n, [step.bits for step in path.steps]):
+        yield start, dist
+        start += len(dist)
+
+
 def _first_close(
-    path: CodewordPath, dist: np.ndarray, radius: Fraction
+    path: CodewordPath, chunks: Iterable[tuple[int, np.ndarray]], radius: Fraction
 ) -> tuple[int, int, Fraction] | None:
     length = 1 << path.n
-    close = dist <= int(radius * length)  # dist <= radius  <=>  hamming <= floor(radius * 2^n)
-    close[:, [path.alpha, path.beta]] = False
-    first = int(close.argmax())  # first row-major hit: earliest step, then smallest gamma
-    if not close.flat[first]:
-        return None
-    t, gamma = divmod(first, length)
-    return t, gamma, Fraction(int(dist[t, gamma]), length)
+    for start, dist in chunks:
+        close = dist <= int(radius * length)  # dist <= radius  <=>  hamming <= floor(radius * 2^n)
+        close[:, [path.alpha, path.beta]] = False
+        first = int(close.argmax())  # first row-major hit: earliest step, then smallest gamma
+        if close.flat[first]:
+            t, gamma = divmod(first, length)
+            return start + t, gamma, Fraction(int(dist[t, gamma]), length)
+    return None
 
 
 def find_close_step(path: CodewordPath, radius: Fraction) -> tuple[int, int, Fraction] | None:
     """First (step, gamma, distance) with a third codeword within `radius`, else None."""
-    return _first_close(path, path_distances(path), radius)
+    return _first_close(path, _path_chunks(path), radius)
 
 
 def farness_violation(
@@ -320,11 +331,11 @@ def farness_violation(
     """First (step, gamma, distance) with a third codeword within 1/4 + FARNESS_MARGIN, else None.
 
     The path is far from every other codeword exactly when this is None.
-    `dist` is the path's `path_distances`, computed here when not given.
+    `dist` is the path's `path_distances`; without it the path is walked
+    a chunk at a time.
     """
-    if dist is None:
-        dist = path_distances(path)
-    return _first_close(path, dist, QUARTER + FARNESS_MARGIN)
+    chunks = _path_chunks(path) if dist is None else [(0, dist)]
+    return _first_close(path, chunks, QUARTER + FARNESS_MARGIN)
 
 
 def verify_codeword_path(path: CodewordPath) -> PathReport:
@@ -352,12 +363,8 @@ def verify_codeword_path(path: CodewordPath) -> PathReport:
         if steps[t].bits ^ steps[t + 1].bits != 1 << position:
             return PathReport(False, "structure", t,
                               detail=f"step does not flip position {position} of the flip order")
-    dist = path_distances(path)
-    far = np.minimum(dist[:, path.alpha], dist[:, path.beta]) > (1 << n) // 4
-    if far.any():
-        return PathReport(False, "distance", int(far.argmax()),
-                          detail="step farther than 1/4 from both endpoints")
-    hit = farness_violation(path, dist)
+    # so step t is t from had(alpha) and 2^(n-1) - t from had(beta): quarter-close to one
+    hit = farness_violation(path)
     if hit is not None:
         t, gamma, distance = hit
         return PathReport(False, "distance", t, gamma, distance,
@@ -407,14 +414,16 @@ def generate_codeword_path(
 
 def distance_profile(path: CodewordPath) -> list[tuple[int, int, int, int]]:
     """Rows (step, hamming-to-alpha, hamming-to-beta, min-hamming-to-others)."""
-    dist = path_distances(path)
-    others = np.delete(dist, [path.alpha, path.beta], axis=1).min(axis=1)
-    return list(zip(
-        range(len(dist)),
-        dist[:, path.alpha].tolist(),
-        dist[:, path.beta].tolist(),
-        others.tolist(),
-    ))
+    rows = []
+    for start, dist in _path_chunks(path):
+        others = np.delete(dist, [path.alpha, path.beta], axis=1).min(axis=1)
+        rows += zip(
+            range(start, start + len(dist)),
+            dist[:, path.alpha].tolist(),
+            dist[:, path.beta].tolist(),
+            others.tolist(),
+        )
+    return rows
 
 
 def exhaust_flip_orders(alpha: int, beta: int, n: int, radius: Fraction = QUARTER):

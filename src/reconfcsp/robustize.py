@@ -5,14 +5,14 @@ edge gets a circuit that list-decodes the two blocks from their distances
 to all 2^n codewords and checks the decoded pairs against the source
 constraint.  Codewords sit 2^(n-1) apart, so a block whose nearest
 distance d has d + radius < 2^(n-1) has that codeword as its only
-candidate.  Along a walk, `count_satisfied` keeps each vertex's last block
-with its distances and nearest codeword, decodes only the blocks that
-moved (a block a few bits from the last one by one Hadamard sign row per
-flipped bit) and re-judges only the circuits on them;
-`extract_psi_sequence` decodes each vertex's whole walk from chunked
-distance matrices, one argmin per row.  Circuits stay semantic (a
-predicate over two blocks); only the micro oracle ever materializes their
-truth tables, and only for n <= 3.
+candidate, and a block d < 2^(n-2) from a codeword has it as its nearest.
+Along a walk, `count_satisfied` and `extract_psi_sequence` decode each
+moved block from its vertex's last one: by one XOR with the last nearest
+codeword while within 2^(n-2) of it, else from the last distances known
+(one Hadamard sign row per flipped bit, or a popcount when far), and
+`count_satisfied` re-judges only the circuits on moved blocks.  Circuits
+stay semantic (a predicate over two blocks); only the micro oracle ever
+materializes their truth tables, and only for n <= 3.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product
-from operator import attrgetter
+from itertools import product
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,10 +42,10 @@ from .hadamard import (
     MAX_N,
     BitFunction,
     codeword_distances,
+    codeword_table,
     disagreement_set,
     generate_codeword_path,
     had_encode,
-    walk_distances,
 )
 from .seeding import derive_seed, stream
 
@@ -93,14 +92,24 @@ class CircuitSystem:
     original_alphabet: int
 
 
-class _Decoded(NamedTuple):
-    """A block, its distances to every codeword and the nearest (ties to the smaller symbol)."""
+class _Decoded:
+    """A block and its nearest codeword (ties to the smaller symbol).
 
-    n: int
-    bits: int
-    dist: np.ndarray
-    best: int
-    nearest: int
+    `known` is (bits, distances to every codeword) of this block or of the
+    block it was decoded from; the block's own distances replace it when
+    first needed.
+    """
+
+    __slots__ = ("n", "bits", "best", "nearest", "known")
+
+    def __init__(self, n: int, bits: int, best: int, nearest: int, known: tuple) -> None:
+        self.n, self.bits, self.best, self.nearest, self.known = n, bits, best, nearest, known
+
+    def distances(self) -> np.ndarray:
+        known = self.known
+        if known[0] != self.bits:
+            known = self.known = (self.bits, codeword_distances(self.n, self.bits, known))
+        return known[1]
 
     def candidates(self, radius: int) -> tuple[int, ...]:
         """The symbols within `radius`, ascending."""
@@ -108,15 +117,25 @@ class _Decoded(NamedTuple):
             return ()
         if self.nearest + radius < 1 << (self.n - 1):  # codewords sit 2^(n-1) apart
             return (self.best,)
-        return tuple(np.flatnonzero(self.dist <= radius).tolist())
+        return tuple(np.flatnonzero(self.distances() <= radius).tolist())
 
 
 def _decode(n: int, bits: int, near: _Decoded | None = None) -> _Decoded:
-    """Decode a block, from `near`'s distances when that block is a few bits away."""
-    known = None if near is None or near.n != n else (near.bits, near.dist)
+    """Decode a block, from `near` (a decoded block of the same n) when one is given.
+
+    A block d < 2^(n-2) from near's codeword has it as its only nearest one:
+    every other codeword is at least 2^(n-1) - d > d away.  Otherwise the
+    distances come from near's known ones, or from a popcount.
+    """
+    known = None
+    if near is not None and near.n == n:
+        d = (bits ^ codeword_table(n)[near.best]).bit_count()
+        if 4 * d < 1 << n:
+            return _Decoded(n, bits, near.best, d, near.known)
+        known = near.known
     dist = codeword_distances(n, bits, known)
     best = int(dist.argmin())
-    return _Decoded(n, bits, dist, best, int(dist[best]))
+    return _Decoded(n, bits, best, int(dist[best]), (bits, dist))
 
 
 def decode_block(f: BitFunction) -> int:
@@ -129,6 +148,8 @@ def _verdict(circuit: RobustCircuit, f: _Decoded, g: _Decoded) -> bool:
     if f.nearest > quarter or g.nearest > quarter:
         return False
     radius = clause_two_radius(circuit.n, circuit.weakened)
+    if max(f.nearest, g.nearest) + radius < 1 << (circuit.n - 1):  # one candidate each
+        return (f.best, g.best) in circuit.pairs
     return circuit.pairs.issuperset(product(f.candidates(radius), g.candidates(radius)))
 
 
@@ -158,8 +179,8 @@ def count_satisfied(system: CircuitSystem, sigma: BlockAssignment) -> int:
     """How many circuits accept `sigma`: `eval_circuit` on each, summed.
 
     Only blocks that differ in n or bits from the last call's block of
-    their vertex are decoded, from that block's distances when a few bits
-    away, and only the circuits on them are judged again.
+    their vertex are decoded, from that block (see `_decode`), and only the
+    circuits on them are judged again.
     """
     global _last_count
     last_system, around, decoded, verdicts = _last_count
@@ -306,37 +327,25 @@ def extract_psi_sequence(
 ) -> ReconfigSequence:
     """Decode each block to its nearest codeword, stepwise, collapsing duplicates.
 
-    Every step is checked before anything is decoded; then each vertex's
-    successive blocks are decoded as one single-bit walk.
+    Every step is checked before anything is decoded; then each moved
+    block is decoded from its vertex's last one.
     """
     if not sigma_seq:
         raise InstanceError("sigma sequence must be non-empty")
-    walks = {v: [block] for v, block in sigma_seq[0].blocks.items()}
     moves = []
     for a, b in zip(sigma_seq, sigma_seq[1:]):
         change = single_bit_change(a, b)
         if change is not None:
-            v, _ = change
-            walks[v].append(b.blocks[v])
-            moves.append(v)
-    symbols = {v: iter(_walk_symbols(walk)) for v, walk in walks.items()}
-    decoded = {v: next(symbols[v]) for v in walks}
+            moves.append((change[0], b.blocks[change[0]]))
+    last = {v: _decode(block.n, block.bits) for v, block in sigma_seq[0].blocks.items()}
+    decoded = {v: d.best for v, d in last.items()}
     steps = [Assignment(dict(decoded))]
-    for v in moves:
-        symbol = next(symbols[v])
-        if symbol != decoded[v]:
-            decoded[v] = symbol
+    for v, block in moves:
+        last[v] = _decode(block.n, block.bits, last[v])
+        if last[v].best != decoded[v]:
+            decoded[v] = last[v].best
             steps.append(Assignment(dict(decoded)))
     return ReconfigSequence(tuple(steps))
-
-
-def _walk_symbols(walk: list[BitFunction]) -> list[int]:
-    """Nearest symbol (argmin) of each block of a walk that changes one bit per step."""
-    symbols = []
-    for n, run in groupby(walk, key=attrgetter("n")):
-        for dist in walk_distances(n, [block.bits for block in run]):
-            symbols += dist.argmin(axis=1).tolist()
-    return symbols
 
 
 def adversarial_block_sequence(

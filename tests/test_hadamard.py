@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -469,6 +470,46 @@ def test_find_close_step_matches_scan_at_n9():
         assert hit is not None and hit[0] > 0
         assert hit == scan_first_close(path, Fraction(9, 20))
         assert find_close_step(path, far) is None is scan_first_close(path, far)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 100])
+def test_path_checks_read_chunks_in_step_order(monkeypatch, rows):
+    # an n = 9 path is one chunk by default; in chunks of `rows` steps the first
+    # hits, profile rows and reports must still be those of the whole path
+    far = QUARTER + FARNESS_MARGIN
+    ordered = build_path(40, 333, 9, sorted(disagreement_set(40, 333, 9)))
+    monkeypatch.setattr(hadamard, "WALK_CHUNK_BYTES", rows * (4 << 9))
+    for path in (generate_codeword_path(40, 333, 9, seed=6), ordered):
+        profile = []
+        for t, step in enumerate(path.steps):
+            dist = scan_distances(9, step.bits)
+            others = min(d for g, d in enumerate(dist) if g not in (path.alpha, path.beta))
+            profile.append((t, dist[path.alpha], dist[path.beta], others))
+        assert distance_profile(path) == profile
+        for radius in (Fraction(1, 2), Fraction(9, 20), far):
+            assert find_close_step(path, radius) == scan_first_close(path, radius)
+        hit = scan_first_close(path, far)
+        report = verify_codeword_path(path)
+        assert farness_violation(path) == hit
+        assert (report.ok, report.step, report.gamma, report.distance) == (
+            (True, None, None, None) if hit is None else (False, *hit)
+        )
+    assert farness_violation(ordered) == (127, 77, Fraction(129, 512))  # past the first chunk
+
+
+def test_verifying_an_n12_path_holds_one_chunk_of_distances():
+    n = 12
+    hadamard.hadamard_signs(n)  # the 16 MiB sign table is built once per n, not per path
+    codeword_distances(n, 0)  # and so are the codeword tables
+    tracemalloc.start()
+    try:
+        path = generate_codeword_path(40, 333, n, seed=6)  # verified on the way
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(path.steps) == 2049 and verify_codeword_path(path).ok
+    # one chunk of rows, its masks and the path's own steps, not the whole matrix
+    assert peak < 2 * hadamard.WALK_CHUNK_BYTES < len(path.steps) * (4 << n) / 2
 
 
 # ---------------------------------------------------------------------------

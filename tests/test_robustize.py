@@ -290,6 +290,39 @@ def test_decode_profile_matches_scan_at_unique_decoding_boundary():
                     assert {alpha, beta} <= set(decoded.candidates(radius))
 
 
+def test_decoding_from_a_near_block_matches_a_fresh_decode():
+    # blocks 2^(n-2) - 1, 2^(n-2) and 2^(n-2) + 1 bits from had(beta): inside
+    # D(alpha, beta), where 2^(n-2) is an exact tie won by the smaller alpha, or anywhere
+    for n in list(range(2, 11)) + [12]:
+        quarter = quarter_radius(n)
+        radii = (clause_two_radius(n), clause_two_radius(n, weakened=True))
+        rng = stream(n, "decode-near")
+        alpha, beta = sorted(rng.sample(range(1 << n), 2))
+        start = had_encode(beta, n).bits
+        exact = rb._decode(n, start)
+        nears = [exact]
+        if n >= 3:  # a block decoded from `exact` by its codeword alone: no distances of its own
+            nears.append(rb._decode(n, start ^ 1 << rng.randrange(1 << n), exact))
+            assert nears[-1].known[0] != nears[-1].bits
+        if n <= 10:  # another n, whose symbol is out of range at this n
+            nears.append(rb._decode(n + 1, codeword_table(n + 1)[(1 << n) + beta]))
+        for k in (quarter - 1, quarter, quarter + 1):
+            inside = rng.sample(sorted(disagreement_set(alpha, beta, n)), k)
+            for flips in (inside, rng.sample(range(1 << n), k)):
+                bits = start
+                for x in flips:
+                    bits ^= 1 << x
+                fresh = rb._decode(n, bits)
+                for near in nears:
+                    got = rb._decode(n, bits, near)
+                    for radius in radii:
+                        expected = scan_decode_profile(n, bits, radius)
+                        assert (got.best, got.nearest, got.candidates(radius)) == expected
+                        assert (fresh.best, fresh.nearest, fresh.candidates(radius)) == expected
+                if flips is inside and k == quarter:
+                    assert fresh.nearest == quarter and alpha in fresh.candidates(quarter)
+
+
 # ---------------------------------------------------------------------------
 # Completeness and extraction
 # ---------------------------------------------------------------------------
@@ -479,6 +512,49 @@ def test_count_satisfied_reevaluates_only_moved_circuits(monkeypatch):
         ]
         on_moved = [c for c in system.circuits if moved in (c.v, c.w)]
         assert sorted(judged, key=lambda c: c.edge_index) == on_moved
+
+
+def spy_popcounts(monkeypatch) -> list[int]:
+    """The n of every block popcounted against all codewords from now on."""
+    popcounts = []
+    words = hadamard.codeword_words
+    monkeypatch.setattr(hadamard, "codeword_words", lambda n: popcounts.append(n) or words(n))
+    return popcounts
+
+
+def test_counting_a_spliced_walk_popcounts_at_most_twice_per_splice(monkeypatch):
+    inst, walk = _satisfying_walk_instance(seed=41, vertices=4)
+    system = robustize(inst)
+    spliced = completeness_sequence(system, walk, seed=1)
+    splices = sum(a != b for a, b in zip(walk.steps, walk.steps[1:]))
+    assert splices > 1 and len(spliced) == 1 + 256 * splices
+    monkeypatch.setattr(rb, "_last_count", (None, {}, {}, []))
+    count_satisfied(system, spliced[0])
+    popcounts = spy_popcounts(monkeypatch)
+    assert [count_satisfied(system, s) for s in spliced] == [len(system.circuits)] * len(spliced)
+    # blocks within 2^(n-2) of their last codeword are decoded by it alone
+    assert 0 < len(popcounts) <= 2 * splices
+
+
+def test_an_n12_walk_across_the_quarter_boundary_popcounts_once(monkeypatch):
+    n = 12
+    system = robustize(single_edge({(5, 5)}, 1 << n, (5, 5), (5, 5)))
+    # u walks from had(5) to the tie with had(9), then back and forth across it
+    order = stream(12, "boundary-walk").sample(sorted(disagreement_set(5, 9, n)), 1 << (n - 2))
+    walk = [system.sigma_ini]
+    for x in order + order[-1:] * 40:
+        walk.append(walk[-1].flip("u", x))
+    # had(9) is a candidate from 2^(n-1) - 1029 = 1019 bits on, and (9, 5) is not accepted
+    expected = [int(t < 1019) for t in range(1025)] + [0] * 40
+    monkeypatch.setattr(rb, "_last_count", (None, {}, {}, []))
+    count_satisfied(system, walk[0])
+    popcounts = spy_popcounts(monkeypatch)
+    assert [count_satisfied(system, sigma) for sigma in walk] == expected
+    # at step 1019, where the strict radius first needs every distance; the
+    # blocks after it are answered by their codeword or one sign row
+    assert popcounts == [n]
+    for t in (1018, 1019, 1023, 1024, len(walk) - 1):
+        assert fresh_count(system, walk[t]) == expected[t]
 
 
 def test_count_satisfied_sees_blocks_changed_in_place():
