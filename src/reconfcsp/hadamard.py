@@ -14,8 +14,13 @@ Hamming units).  `codeword_distances` popcounts a block, or updates the
 distances of a block a few bits away that the caller already has;
 `walk_distances` gives the (step x codeword) matrix of a single-bit walk by
 a running sum of updates, in chunks of bounded size.  Nothing here
-remembers a block between calls.  Path checks and distance profiles read a
-path one chunk at a time; block decoding reads `codeword_distances`.
+remembers a block between calls.  Block decoding reads `codeword_distances`.
+
+Step t of a path that flips the positions where had(alpha) and had(beta)
+differ, one each, is t from had(alpha) and 2^(n-1) - t from had(beta), and
+so at least max(t, 2^(n-1) - t) from every other codeword: path verification
+reads only the steps within the farness radius of both bounds.  Close-step
+searches and distance profiles read the whole path, one chunk at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .constants import FARNESS_MARGIN, QUARTER
 from .seeding import derive_seed, stream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitFunction:
     """A length-2^n bit string, positions indexed by vectors in F2^n."""
 
@@ -54,9 +59,12 @@ class BitFunction:
         return (self.bits >> position) & 1
 
     def flip(self, position: int) -> "BitFunction":
-        if not 0 <= position < self.length:
+        if not 0 <= position < 1 << self.n:
             raise ValueError(f"position {position} out of range")
-        return BitFunction(self.n, self.bits ^ (1 << position))
+        f = object.__new__(BitFunction)  # in range: skips the checks of __post_init__
+        _SET_N(f, self.n)
+        _SET_BITS(f, self.bits ^ (1 << position))
+        return f
 
     def to_hex(self) -> str:
         return format(self.bits, f"0{max(1, self.length // 4)}x")
@@ -64,6 +72,10 @@ class BitFunction:
     @classmethod
     def from_hex(cls, n: int, text: str) -> "BitFunction":
         return cls(n, int(text, 16))
+
+
+# The slot setters behind BitFunction's frozen __setattr__
+_SET_N, _SET_BITS = BitFunction.n.__set__, BitFunction.bits.__set__
 
 
 # Largest block exponent any command or reader accepts: a codeword-path
@@ -214,8 +226,13 @@ def disagreement_set(alpha: int, beta: int, n: int) -> frozenset[int]:
     if alpha == beta:
         raise ValueError("alpha and beta must differ")
     table = codeword_table(n)
-    diff = table[alpha] ^ table[beta]
-    return frozenset(x for x in range(1 << n) if (diff >> x) & 1)
+    return frozenset(bit_positions(table[alpha] ^ table[beta], n))
+
+
+def bit_positions(bits: int, n: int) -> list[int]:
+    """Positions of the set bits of a 2^n-bit block, ascending."""
+    raw = np.frombuffer(bits.to_bytes(max(1, 1 << n >> 3), "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
 
 @dataclass(frozen=True)
@@ -241,21 +258,10 @@ def partition_triple(alpha: int, beta: int, gamma: int, n: int) -> PartitionRepo
         raise ValueError("alpha, beta, gamma must be pairwise distinct")
     table = codeword_table(n)
     a, b, c = table[alpha], table[beta], table[gamma]
-    p_alpha, p_beta, p_gamma, p_equal = [], [], [], []
-    for x in range(1 << n):
-        bits = ((a >> x) & 1, (b >> x) & 1, (c >> x) & 1)
-        if bits[0] != bits[1] and bits[1] == bits[2]:
-            p_alpha.append(x)
-        elif bits[1] != bits[2] and bits[2] == bits[0]:
-            p_beta.append(x)
-        elif bits[2] != bits[0] and bits[0] == bits[1]:
-            p_gamma.append(x)
-        else:
-            p_equal.append(x)
-    return PartitionReport(
-        n, alpha, beta, gamma,
-        frozenset(p_alpha), frozenset(p_beta), frozenset(p_gamma), frozenset(p_equal),
-    )
+    # of three bits, one differs from the other two or all three are equal
+    classes = ((a ^ b) & (a ^ c), (b ^ a) & (b ^ c), (c ^ a) & (c ^ b), ~((a ^ b) | (a ^ c)))
+    masked = (bits & ((1 << (1 << n)) - 1) for bits in classes)
+    return PartitionReport(n, alpha, beta, gamma, *(frozenset(bit_positions(m, n)) for m in masked))
 
 
 @dataclass(frozen=True)
@@ -298,10 +304,11 @@ def path_distances(path: CodewordPath) -> np.ndarray:
     return dist
 
 
-def _path_chunks(path: CodewordPath) -> Iterator[tuple[int, np.ndarray]]:
-    """(first step, distances) of each `walk_distances` chunk of the path."""
-    start = 0
-    for dist in walk_distances(path.n, [step.bits for step in path.steps]):
+def _path_chunks(
+    path: CodewordPath, start: int = 0, stop: int | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(first step, distances) of each `walk_distances` chunk of steps start..stop-1."""
+    for dist in walk_distances(path.n, [step.bits for step in path.steps[start:stop]]):
         yield start, dist
         start += len(dist)
 
@@ -338,11 +345,23 @@ def farness_violation(
     return _first_close(path, chunks, QUARTER + FARNESS_MARGIN)
 
 
+def _window_close(path: CodewordPath, radius: Fraction) -> tuple[int, int, Fraction] | None:
+    """`find_close_step` for a path whose steps flip a permutation of D, one bit each.
+
+    Step t is then t from had(alpha) and 2^(n-1) - t from had(beta), both
+    2^(n-1) from every other codeword, so it is at least max(t, 2^(n-1) - t)
+    from them: only steps 2^(n-1) - r .. r, r = floor(radius * 2^n), are read.
+    """
+    half, r = 1 << (path.n - 1), int(radius * (1 << path.n))
+    return _first_close(path, _path_chunks(path, max(0, half - r), r + 1), radius)
+
+
 def verify_codeword_path(path: CodewordPath) -> PathReport:
-    """Exhaustively check structure, quarter-closeness, and third-codeword farness.
+    """Check structure, quarter-closeness, and third-codeword farness.
 
     The farness condition is strict: every step must be more than
     1/4 + FARNESS_MARGIN away from every codeword other than the endpoints.
+    Once the structure holds, only the steps where it can fail are read.
     """
     n = path.n
     start = had_encode(path.alpha, n)
@@ -364,7 +383,7 @@ def verify_codeword_path(path: CodewordPath) -> PathReport:
             return PathReport(False, "structure", t,
                               detail=f"step does not flip position {position} of the flip order")
     # so step t is t from had(alpha) and 2^(n-1) - t from had(beta): quarter-close to one
-    hit = farness_violation(path)
+    hit = _window_close(path, QUARTER + FARNESS_MARGIN)
     if hit is not None:
         t, gamma, distance = hit
         return PathReport(False, "distance", t, gamma, distance,
@@ -448,14 +467,7 @@ def min_partial_sum(entries: Sequence[int]) -> int:
         raise ValueError("sequence must be non-empty")
     if any(e not in (1, -1) for e in entries):
         raise ValueError("entries must be +1 or -1")
-    best = total = 0
-    first = True
-    for e in entries:
-        total += e
-        if first or total < best:
-            best = total
-            first = False
-    return best
+    return min(itertools.accumulate(entries))
 
 
 @dataclass(frozen=True)
@@ -501,13 +513,7 @@ def partial_sum_exhaustive(n: int) -> Fraction:
     threshold = math.ceil(Fraction(99, 100) * n)
     total = math.comb(2 * n, n)
     hits = 0
-    for minus_positions in itertools.combinations(range(2 * n), n):
-        minus = set(minus_positions)
-        running = 0
-        low = 0
-        for i in range(2 * n):
-            running += -1 if i in minus else 1
-            low = min(low, running)
-        if low <= -threshold:
-            hits += 1
+    for minus in map(set, itertools.combinations(range(2 * n), n)):
+        steps = (-1 if i in minus else 1 for i in range(2 * n))
+        hits += min(itertools.accumulate(steps)) <= -threshold
     return Fraction(hits, total)

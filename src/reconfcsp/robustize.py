@@ -18,7 +18,7 @@ materializes their truth tables, and only for n <= 3.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -41,6 +41,7 @@ from .core import (
 from .hadamard import (
     MAX_N,
     BitFunction,
+    bit_positions,
     codeword_distances,
     codeword_table,
     disagreement_set,
@@ -50,7 +51,7 @@ from .hadamard import (
 from .seeding import derive_seed, stream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockAssignment:
     """One length-2^n block per source vertex (a truth assignment, blockwise)."""
 
@@ -60,10 +61,17 @@ class BlockAssignment:
     def with_block(self, vertex: str, block: BitFunction) -> "BlockAssignment":
         updated = dict(self.blocks)
         updated[vertex] = block
-        return BlockAssignment(self.n, updated)
+        sigma = object.__new__(BlockAssignment)  # skips the dataclass __init__
+        _SET_N(sigma, self.n)
+        _SET_BLOCKS(sigma, updated)
+        return sigma
 
     def flip(self, vertex: str, position: int) -> "BlockAssignment":
         return self.with_block(vertex, self.blocks[vertex].flip(position))
+
+
+# The slot setters behind BlockAssignment's frozen __setattr__
+_SET_N, _SET_BLOCKS = BlockAssignment.n.__set__, BlockAssignment.blocks.__set__
 
 
 @dataclass(frozen=True)
@@ -76,10 +84,12 @@ class RobustCircuit:
     pairs: frozenset[tuple[int, int]]
     n: int
     weakened: bool = False  # radius exactly 1/4 in the decoding clause; negative tests only
+    radius: int = field(init=False, repr=False, compare=False)  # of the decoding clause
 
     def __post_init__(self) -> None:
         if not self.pairs:
             raise InstanceError(f"edge {self.edge_index}: constraint set must be non-empty")
+        object.__setattr__(self, "radius", clause_two_radius(self.n, self.weakened))
 
 
 @dataclass(frozen=True)
@@ -144,11 +154,11 @@ def decode_block(f: BitFunction) -> int:
 
 
 def _verdict(circuit: RobustCircuit, f: _Decoded, g: _Decoded) -> bool:
-    quarter = quarter_radius(circuit.n)
-    if f.nearest > quarter or g.nearest > quarter:
+    n, radius = circuit.n, circuit.radius
+    nearest = f.nearest if f.nearest > g.nearest else g.nearest
+    if nearest > 1 << (n - 2):  # a block farther than 1/4 from every codeword
         return False
-    radius = clause_two_radius(circuit.n, circuit.weakened)
-    if max(f.nearest, g.nearest) + radius < 1 << (circuit.n - 1):  # one candidate each
+    if nearest + radius < 1 << (n - 1):  # one candidate each
         return (f.best, g.best) in circuit.pairs
     return circuit.pairs.issuperset(product(f.candidates(radius), g.candidates(radius)))
 
@@ -190,19 +200,22 @@ def count_satisfied(system: CircuitSystem, sigma: BlockAssignment) -> int:
             around.setdefault(c.v, []).append(i)
             around.setdefault(c.w, []).append(i)
     circuits, blocks = system.circuits, sigma.blocks
-    decoded, verdicts, stale = dict(decoded), list(verdicts), set()
+    stale = set()
     for v, on in around.items():
         block, old = blocks[v], decoded.get(v)
         if old is None or old.bits != block.bits or old.n != block.n:
+            if not stale:  # copied before the first change, as the entry is replaced whole
+                decoded, verdicts = dict(decoded), list(verdicts)
             if old is None or old.n != block.n:  # else checked when `old` was decoded
                 for i in on:
                     _require_length(circuits[i], block)
             decoded[v] = _decode(block.n, block.bits, old)
             stale.update(on)
-    for i in stale:
-        c = circuits[i]
-        verdicts[i] = _verdict(c, decoded[c.v], decoded[c.w])
-    _last_count = (system, around, decoded, verdicts)
+    if stale:
+        for i in stale:
+            c = circuits[i]
+            verdicts[i] = _verdict(c, decoded[c.v], decoded[c.w])
+        _last_count = (system, around, decoded, verdicts)
     return sum(verdicts)
 
 
@@ -311,10 +324,13 @@ def single_bit_change(a: BlockAssignment, b: BlockAssignment) -> tuple[str, int]
 
     Raises if more than one bit changed.
     """
-    changed = None
+    changed, blocks = None, b.blocks
     for v, block in a.blocks.items():
-        delta = block.bits ^ b.blocks[v].bits
-        if delta == 0:
+        other = blocks[v]
+        if block is other:  # `with_block` shares the blocks it leaves alone
+            continue
+        delta = block.bits ^ other.bits
+        if not delta:
             continue
         if changed is not None or delta.bit_count() != 1:
             raise InstanceError("block assignments differ in more than one bit")
@@ -361,13 +377,11 @@ def adversarial_block_sequence(
         v = rng.choice(vertices)
         current = current.flip(v, rng.randrange(length))
         walk.append(current)
-    diffs = []
-    for v in vertices:
-        delta = current.blocks[v].bits ^ system.sigma_tar.blocks[v].bits
-        while delta:
-            low = delta & -delta
-            diffs.append((v, low.bit_length() - 1))
-            delta ^= low
+    diffs = [
+        (v, x)
+        for v in vertices
+        for x in bit_positions(current.blocks[v].bits ^ system.sigma_tar.blocks[v].bits, system.n)
+    ]
     rng.shuffle(diffs)
     for v, x in diffs:
         current = current.flip(v, x)
@@ -407,8 +421,7 @@ def sat_inputs(circuit: RobustCircuit) -> tuple[int, ...]:
     """All concatenated inputs accepted by the circuit, by full enumeration."""
     _micro_guard(circuit.n)
     n = circuit.n
-    radius = clause_two_radius(n, circuit.weakened)
-    profiles = _side_profiles(n, radius)
+    profiles = _side_profiles(n, circuit.radius)
     length = 1 << n
     good_f = [
         (bits, cands) for bits, (ok, cands) in enumerate(profiles) if ok
@@ -448,21 +461,11 @@ def four_phase_block_path(
     half = 1 << (n - 2)
     d_f = sorted(disagreement_set(alpha1, alpha2, n))
     d_g = sorted(disagreement_set(beta1, beta2, n))
-    f = had_encode(alpha1, n)
-    g = had_encode(beta1, n)
-    steps = [(f, g)]
-    for x in d_f[:half]:
-        f = f.flip(x)
-        steps.append((f, g))
-    for x in d_g[:half]:
-        g = g.flip(x)
-        steps.append((f, g))
-    for x in d_f[half:]:
-        f = f.flip(x)
-        steps.append((f, g))
-    for x in d_g[half:]:
-        g = g.flip(x)
-        steps.append((f, g))
+    steps = [(had_encode(alpha1, n), had_encode(beta1, n))]
+    for side, positions in ((0, d_f[:half]), (1, d_g[:half]), (0, d_f[half:]), (1, d_g[half:])):
+        for x in positions:
+            f, g = steps[-1]
+            steps.append((f.flip(x), g) if side == 0 else (f, g.flip(x)))
     return steps
 
 

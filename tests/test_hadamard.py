@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -510,6 +511,83 @@ def test_verifying_an_n12_path_holds_one_chunk_of_distances():
     assert len(path.steps) == 2049 and verify_codeword_path(path).ok
     # one chunk of rows, its masks and the path's own steps, not the whole matrix
     assert peak < 2 * hadamard.WALK_CHUNK_BYTES < len(path.steps) * (4 << n) / 2
+
+
+# ---------------------------------------------------------------------------
+# Farness read only on the steps where it can fail
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_window_gives_the_first_hit_of_the_full_scan(n):
+    # at radius 1/8 the window 2^(n-1) - r .. r is empty
+    radii = (Fraction(1, 8), QUARTER, QUARTER + FARNESS_MARGIN, Fraction(3, 8))
+    rng = stream(n, "window-paths")
+    hits = 0
+    for trial in range(8):
+        alpha, beta = rng.sample(range(1 << n), 2)
+        order = sorted(disagreement_set(alpha, beta, n))
+        if trial % 4:  # and every fourth path flips D in ascending order
+            rng.shuffle(order)
+        path = build_path(alpha, beta, n, order)
+        for radius in radii:
+            hit = find_close_step(path, radius)
+            assert hadamard._window_close(path, radius) == hit
+            hits += hit is not None
+        hit = farness_violation(path)
+        report = verify_codeword_path(path)
+        assert (report.ok, report.step, report.gamma, report.distance) == (
+            (True, None, None, None) if hit is None else (False, *hit)
+        )
+    assert hits
+
+
+def test_verification_reads_only_the_steps_where_farness_can_fail(monkeypatch):
+    # r = floor((1/4 + 1/400) 2^n): steps 127..129 at n = 9, 1014..1034 at n = 12
+    paths = [generate_codeword_path(40, 333, n, seed=6) for n in (9, 12)]
+    read = []
+    walk = hadamard.walk_distances
+
+    def spy(n, steps, rows=None):
+        read.append(steps)
+        return walk(n, steps, rows)
+
+    monkeypatch.setattr(hadamard, "walk_distances", spy)
+    assert all(verify_codeword_path(path).ok for path in paths)
+    assert read == [
+        [step.bits for step in paths[0].steps[127:130]],
+        [step.bits for step in paths[1].steps[1014:1035]],
+    ]
+
+
+def test_steps_built_without_rechecks_equal_public_blocks():
+    n = 9
+    with pytest.raises(ValueError, match="does not fit in 2\\^n bits"):
+        BitFunction(n, 1 << (1 << n))
+    f = had_encode(40, n)
+    for position in (-1, 1 << n):
+        with pytest.raises(ValueError, match=f"^position {position} out of range$"):
+            f.flip(position)
+    order = sorted(disagreement_set(40, 333, n))
+    with pytest.raises(ValueError, match=f"^position {1 << n} out of range$"):
+        build_path(40, 333, n, order[:-1] + [1 << n])
+    for block in (f.flip(3), build_path(40, 333, n, order).steps[-1]):
+        public = BitFunction(n, block.bits)
+        assert block == public and hash(block) == hash(public) and repr(block) == repr(public)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            block.bits = 0
+    assert f.flip(3).bits == f.bits ^ 8
+    assert build_path(40, 333, n, order).steps[-1] == had_encode(333, n)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_disagreement_set_matches_the_position_loop(n):
+    table = codeword_table(n)
+    rng = stream(n, "disagreement")
+    for alpha, beta in [(0, (1 << n) - 1)] + [tuple(rng.sample(range(1 << n), 2)) for _ in range(3)]:
+        diff = table[alpha] ^ table[beta]
+        loop = frozenset(x for x in range(1 << n) if (diff >> x) & 1)
+        assert disagreement_set(alpha, beta, n) == loop and len(loop) == 1 << (n - 1)
 
 
 # ---------------------------------------------------------------------------

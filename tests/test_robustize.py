@@ -410,6 +410,25 @@ def test_extract_rejects_multibit_steps():
         extract_psi_sequence(system, [system.sigma_ini, jumped])
 
 
+def test_moved_assignments_equal_public_ones_and_share_unmoved_blocks():
+    sigma = robustize(path_graph_instance(512, [{"u": 0, "v": 1, "w": 2}])).sigma_ini
+    moved = sigma.flip("u", 5)
+    public = BlockAssignment(9, {**sigma.blocks, "u": BitFunction(9, sigma.blocks["u"].bits ^ 32)})
+    assert moved == public and repr(moved) == repr(public) and moved != sigma
+    assert sigma.with_block("u", public.blocks["u"]) == moved
+    for sigma_ in (moved, public):  # a dict field: neither hashes
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(sigma_)
+    with pytest.raises(ValueError, match="^position 512 out of range$"):
+        sigma.flip("u", 512)
+    assert all(moved.blocks[v] is sigma.blocks[v] for v in ("v", "w"))
+    assert single_bit_change(sigma, moved) == single_bit_change(sigma, public) == ("u", 5)
+    assert single_bit_change(moved, public) is None
+    twice = moved.flip("w", 0)
+    with pytest.raises(InstanceError, match="more than one bit"):
+        single_bit_change(sigma, twice)
+
+
 # ---------------------------------------------------------------------------
 # Per-step decoding in count_satisfied and extract_psi_sequence
 # ---------------------------------------------------------------------------
