@@ -527,7 +527,7 @@ def test_window_gives_the_first_hit_of_the_full_scan(n):
     for trial in range(8):
         alpha, beta = rng.sample(range(1 << n), 2)
         order = sorted(disagreement_set(alpha, beta, n))
-        if trial % 4:  # and every fourth path flips D in ascending order
+        if trial % 4:  # every fourth path keeps D in ascending order
             rng.shuffle(order)
         path = build_path(alpha, beta, n, order)
         for radius in radii:
