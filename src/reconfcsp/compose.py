@@ -156,7 +156,8 @@ def superimpose(
 
     A hyperedge (e1, e2) accepts (a1, b1, a2, b2) iff e1 accepts (a1, b1) or
     e2 accepts (a2, b2), so it is violated exactly when both twin edges are,
-    and violated fractions multiply.
+    and violated fractions multiply.  Hyperedges whose OR-tables are equal
+    hold one `AcceptSet`.
     """
     if twin1.x_vars != twin2.x_vars:
         raise InstanceError("twins must share the same input variables")
@@ -166,20 +167,20 @@ def superimpose(
         raise InstanceError("twin edge sets empty")
     g1, g2 = twin1.graph, twin2.graph
     vertices = tuple(twin1.x_vars) + tuple(twin1.y_vars) + tuple(twin2.y_vars)
-    overrides = dict(g1.vertex_alphabets)
-    overrides.update(g2.vertex_alphabets)
+    overrides = {**g1.vertex_alphabets, **g2.vertex_alphabets}
 
     tables1, tables2 = ([g.vertex_table(j)[1] for j in range(len(g.edges))] for g in (g1, g2))
     if any(table.ndim != 2 for table in tables1 + tables2):
         raise InstanceError("twin edges must join two distinct vertices")
-    edges = []
-    accepts = []
-    pairs = []
+    edges, accepts, pairs, shared = [], [], [], {}
     for i1, e1 in enumerate(g1.edges):
         for i2, e2 in enumerate(g2.edges):
             edges.append((e1[0], e1[1], e2[0], e2[1]))
-            # argwhere lists the accepted (a1, b1, a2, b2) in lexicographic order
-            accepts.append(np.argwhere(tables1[i1][:, :, None, None] | tables2[i2]))
+            table = tables1[i1][:, :, None, None] | tables2[i2]
+            key = (table.shape, table.tobytes())
+            if key not in shared:
+                shared[key] = AcceptSet.from_table(table)
+            accepts.append(shared[key])
             pairs.append((i1, i2))
     graph = ConstraintGraph(
         q=4,
@@ -253,9 +254,7 @@ def compose_system(system: CircuitSystem) -> ComposedSystem:
     block_vertices = tuple(
         _bit_name(v, x) for v in system.graph.vertices for x in range(length)
     )
-    composed_edges = []
-    groups = []
-    overrides: dict[str, int] = {}
+    composed_edges, groups, overrides = [], [], {}
     trace = ReductionTrace(stage="compose")
     for v in system.graph.vertices:
         for x in range(length):
@@ -294,19 +293,11 @@ def compose_system(system: CircuitSystem) -> ComposedSystem:
                 x_vars=x_names,
             )
         )
-    groups = pad_edge_groups(
-        groups, mark=lambda item: (item[0], item[1], {**item[2], "padding": True})
-    )
-    edges = []
-    accepts = []
-    for group in groups:
-        for edge, acc, origin in group:
-            edges.append(edge)
-            accepts.append(acc)
-            trace.hyperedge_origin.append(origin)
-    vertices = block_vertices + tuple(
-        name for e in composed_edges for name in (e.y1, e.y2)
-    )
+    groups = pad_edge_groups(groups, mark=lambda item: (*item[:2], {**item[2], "padding": True}))
+    items = [item for group in groups for item in group]
+    edges, accepts = [item[0] for item in items], [item[1] for item in items]
+    trace.hyperedge_origin.extend(item[2] for item in items)
+    vertices = block_vertices + tuple(name for e in composed_edges for name in (e.y1, e.y2))
     graph = ConstraintGraph(
         q=4,
         vertices=vertices,
@@ -415,11 +406,6 @@ def restrict_to_blocks(
 # ---------------------------------------------------------------------------
 
 
-def pair_list(w: int) -> list[tuple[int, int]]:
-    """Unordered value pairs over range(w), lexicographic; w(w+1)/2 entries."""
-    return [(a, b) for a in range(w) for b in range(a, w)]
-
-
 @dataclass(frozen=True)
 class CellInfo:
     hyperedge: int
@@ -444,10 +430,6 @@ class CellInfo:
     def singleton(self, values: Sequence[int]) -> int:
         return self.encode([(v, v) for v in values])
 
-    def strides(self) -> np.ndarray:
-        """Place value of each coordinate's pair index in a cell value."""
-        return np.cumprod([1] + [len(pl) for pl in self.pair_lists[:-1]])
-
 
 @dataclass(frozen=True)
 class ArityReduction:
@@ -456,37 +438,43 @@ class ArityReduction:
     cells: tuple[CellInfo, ...]
 
 
-def _valid_cell_symbols(cell: CellInfo, distinct: tuple[str, ...], ok: np.ndarray) -> np.ndarray:
-    """All valid cell values, ascending, enumerated over one pair choice per distinct vertex.
+def _valid_cell_symbols(
+    cell: CellInfo, distinct: tuple[str, ...], ok: np.ndarray, pairs: Sequence, grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """All valid cell values, ascending, and each coordinate's pair index at each of them.
 
     A cell value is valid when its pairs agree on repeated vertices and every
     consistent selection of one value per pair is an accepted tuple.  `ok`
-    is the hyperedge's accept table over its `distinct` vertices
-    (`ConstraintGraph.vertex_table`).  A pair choice is valid iff all 2^d
-    corners of its box (the low or high value of each vertex's pair) are
-    accepted; ANDing the low and high slices of one vertex axis at a time
-    checks every corner.
+    is the accept table over the `distinct` vertices (`ConstraintGraph.vertex_table`),
+    `pairs[i]` the lows and highs of coordinate i's pairs, and `grid[i]` its
+    pair index at every cell value.  ANDing the low and high slices of one
+    vertex axis at a time checks all 2^d corners of each pair choice's box.
+    With the last coordinate's axis first, flat indices are cell values; a
+    repeated coordinate's unit axis is broadcast by ANDing in the equality
+    of its pair index with its vertex's first coordinate's.
     """
     for axis, v in enumerate(distinct):
-        lo, hi = np.array(cell.pair_lists[cell.vertices.index(v)]).T
+        lo, hi = pairs[cell.vertices.index(v)]
         ok = ok.take(lo, axis=axis) & ok.take(hi, axis=axis)
-    strides = cell.strides()
-    vertex_strides = [strides[[u == v for u in cell.vertices]].sum() for v in distinct]
-    return np.sort(sum(k * s for k, s in zip(np.nonzero(ok), vertex_strides)))
+    first = [cell.vertices.index(v) for v in cell.vertices]
+    backwards = range(len(first) - 1, -1, -1)
+    table = ok.transpose().reshape([len(pairs[i][0]) if first[i] == i else 1 for i in backwards])
+    for i, f in enumerate(first):
+        if f != i:
+            table = table & (grid[i] == grid[f]).reshape([len(pairs[i][0]) for i in backwards])
+    valid = np.flatnonzero(table)
+    return valid, grid.take(valid, axis=1)
 
 
-def _cell_edge_codes(
-    valid: np.ndarray, stride: int, pairs: Sequence[tuple[int, int]], size: int
-) -> np.ndarray:
+def _cell_edge_codes(valid: np.ndarray, which: np.ndarray, low, high, size: int) -> np.ndarray:
     """Codes `sym * size + value` of one cell-to-coordinate edge's accepted tuples.
 
-    Cell value `sym` holds pair (sym // stride) % len(pairs) at the
-    coordinate and is accepted with either value of that pair.  With `valid`
-    ascending and each pair (a, b) having a <= b, the codes of (sym, a) then,
-    if b differs, (sym, b) come out strictly increasing.
+    Cell value `sym` holds pair (low[w], high[w]) at the coordinate, `w` its
+    entry in `which`, and is accepted with either value.  With `valid`
+    ascending and low <= high, the codes of (sym, low) then, if high
+    differs, (sym, high) come out strictly increasing.
     """
-    low, high = np.array(pairs, dtype=np.int64).T
-    which, base = (valid // stride) % len(pairs), valid * size
+    base = valid * size
     codes = np.empty((len(valid), 2), dtype=np.int64)
     codes[:, 0] = base + low[which]
     codes[:, 1] = base + high[which]
@@ -523,24 +511,22 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
     graph = inst4.graph
     if graph.q != 4:
         raise InstanceError(f"arity must be exactly 4, got {graph.q}")
-    existing = set(graph.vertices)
-    cells = []
-    new_edges: list[tuple[str, str]] = []
-    new_accepts: list[np.ndarray] = []
+    existing, cells, new_edges, new_accepts = set(graph.vertices), [], [], []
     overrides = dict(graph.vertex_alphabets)
     trace = ReductionTrace(stage="arity-reduce", notes={"soundness_loss_factor": 4})
-    for v in graph.vertices:
-        trace.vertex_origin[v] = {"kind": "source-vertex", "vertex": v}
-    for j, edge in enumerate(graph.edges):
+    trace.vertex_origin.update({v: {"kind": "source-vertex", "vertex": v} for v in graph.vertices})
+    # per alphabet w: its w(w+1)/2 unordered value pairs, lexicographic, then their lows and highs
+    pairs_of: dict[int, tuple] = {}
+    for j, (edge, acc) in enumerate(zip(graph.edges, graph.accepts)):
         name = f"cell{j}"
         while name in existing:
             name += "'"
         existing.add(name)
-        pls = tuple(tuple(pair_list(graph.alphabet_of(v))) for v in edge)
-        alphabet = 1
-        for pl in pls:
-            alphabet *= len(pl)
-        cells.append(CellInfo(j, name, tuple(edge), pls, alphabet))
+        for w in set(acc.sizes) - pairs_of.keys():
+            pl = tuple((a, b) for a in range(w) for b in range(a, w))
+            pairs_of[w] = (pl, *np.array(pl, dtype=np.int64).T)
+        pls = tuple(pairs_of[w][0] for w in acc.sizes)
+        cells.append(CellInfo(j, name, tuple(edge), pls, math.prod(map(len, pls))))
     total_cells = sum(c.alphabet for c in cells)
     if total_cells > cell_budget:
         worst = max(cells, key=lambda c: c.alphabet)
@@ -550,7 +536,7 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
             "constraints this rich are out of materialization range"
         )
     for cell in cells:
-        coordinates = math.prod(graph.alphabet_of(v) for v in cell.vertices)
+        coordinates = math.prod(graph.accepts[cell.hyperedge].sizes)
         if coordinates > _TABLE_COORDINATES:
             raise InstanceError(
                 f"hyperedge {cell.hyperedge}: coordinate space {coordinates} exceeds "
@@ -558,24 +544,27 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
             )
     # ConstraintGraph reuses these shared, immutable sets unchecked.
     edge_sets: dict[tuple, list[AcceptSet]] = {}
+    grids: dict[tuple, np.ndarray] = {}  # per alphabets: pair index per coordinate and cell value
     for j, edge in enumerate(graph.edges):
         cell, acc = cells[j], graph.accepts[j]
         trace.vertex_origin[cell.name] = {"kind": "cell", "hyperedge": j}
         key = (tuple(edge.index(v) for v in edge), acc.sizes, acc.codes.tobytes())
         if key not in edge_sets:
-            valid = _valid_cell_symbols(cell, *graph.vertex_table(j))
+            pairs = [pairs_of[size][1:] for size in acc.sizes]
+            if acc.sizes not in grids:
+                shape = [len(lo) for lo, _ in pairs[::-1]]
+                grids[acc.sizes] = np.indices(shape)[::-1].reshape(4, -1)
+            distinct, ok = graph.vertex_table(j)
+            valid, which = _valid_cell_symbols(cell, distinct, ok, pairs, grids[acc.sizes])
             edge_sets[key] = [
-                AcceptSet.from_codes(
-                    _cell_edge_codes(valid, stride, pl, size), (cell.alphabet, size)
-                )
-                for stride, pl, size in zip(cell.strides(), cell.pair_lists, acc.sizes)
+                AcceptSet.from_codes(_cell_edge_codes(valid, w, *lh, n), (cell.alphabet, n))
+                for w, lh, n in zip(which, pairs, acc.sizes)
             ]
         for i, (v, edge_set) in enumerate(zip(edge, edge_sets[key])):
             new_edges.append((cell.name, v))
             new_accepts.append(edge_set)
             trace.hyperedge_origin.append({"hyperedge": j, "coordinate": i})
-    for cell in cells:
-        overrides[cell.name] = cell.alphabet
+    overrides.update((cell.name, cell.alphabet) for cell in cells)
     binary_graph = ConstraintGraph(
         q=2,
         vertices=graph.vertices + tuple(c.name for c in cells),
@@ -588,8 +577,7 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
     def endpoint(psi: Assignment) -> Assignment:
         values = dict(psi.values)
         for cell in cells:
-            tuple_values = [psi.values[v] for v in cell.vertices]
-            values[cell.name] = cell.singleton(tuple_values)
+            values[cell.name] = cell.singleton([psi.values[v] for v in cell.vertices])
         return Assignment(values)
 
     instance = ReconfInstance(binary_graph, endpoint(inst4.psi_ini), endpoint(inst4.psi_tar))

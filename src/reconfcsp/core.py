@@ -45,9 +45,9 @@ class AcceptSet:
     codes are the tuples in lexicographic order.  `codes` is the read-only,
     strictly increasing int64 array of those codes and `sizes` the alphabets
     they were encoded against.  This class is the only place that layout is
-    known: elsewhere a set is built from tuples (any iterable of them, or a
-    2-D integer array of rows), from codes with `from_codes`, or from
-    another set, and read by `len`, `in`, `==` and iteration, which yields
+    known: elsewhere a set is built from tuples (an iterable, or rows of a 2-D
+    integer array), from codes (`from_codes`), a boolean table (`from_table`)
+    or another set, and read by `len`, `in`, `==` and iteration, which yields
     the tuples in sorted order.  A set handed alphabets other than its own
     is re-encoded and range-checked tuple by tuple, never reinterpreted.
     """
@@ -77,6 +77,11 @@ class AcceptSet:
                 bad = codes[0] if codes[0] < 0 else codes[-1]
                 raise InstanceError(f"accept: code {bad} outside [0, {space})")
         return _make(sizes, np.array(codes, dtype=np.int64))
+
+    @classmethod
+    def from_table(cls, table: np.ndarray) -> "AcceptSet":
+        """The True cells of a boolean table with one axis per coordinate; flat index = code."""
+        return cls.from_codes(np.flatnonzero(table), table.shape)
 
     @property
     def sizes(self) -> tuple[int, ...]:

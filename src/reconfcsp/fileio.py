@@ -15,7 +15,8 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
     The text is written as UTF-8 without newline translation, so a file has
     the same bytes on every platform, with the line feeds that the instance
-    reader's fast path expects.
+    reader's fast path expects.  The file gets mode 0o666 less the umask, as
+    `open` would give it, not the 0o600 of `mkstemp`.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -23,6 +24,8 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+        os.umask(umask := os.umask(0o022))  # reading the umask means setting it
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

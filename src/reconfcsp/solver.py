@@ -316,6 +316,10 @@ def generate_instance(
         raise InstanceError("need at least 2 vertices")
     if alphabet < 2:
         raise InstanceError("alphabet size must be at least 2")
+    counts = {"--edges": (edge_count, 1), "--walk": (walk_length, 0), "--extra": (extra_tuples, 0)}
+    for flag, (count, least) in counts.items():
+        if count is not None and count < least:
+            raise InstanceError(f"{flag} must be at least {least}, got {count}")
     names = [f"v{i}" for i in range(vertices)]
     if edge_count is None:
         edge_count = vertices

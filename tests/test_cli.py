@@ -44,6 +44,17 @@ def test_generate_usage_error(tmp_path):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, bad, least", [
+    ("--edges", 0, 1), ("--edges", -2, 1), ("--walk", -1, 0), ("--extra", -3, 0),
+])
+def test_generate_rejects_bad_counts(tmp_path, capsys, flag, bad, least):
+    out = tmp_path / "x.json"
+    assert run("generate", "--kind", "random", "--vertices", 3, "--alphabet", 3,
+               "--satisfiable", flag, bad, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be at least {least}, got {bad}\n"
+    assert not out.exists()
+
+
 def test_generate_kinds(tmp_path):
     for kind, edges in [("cycle", 4), ("random", 5)]:
         out = tmp_path / f"{kind}.json"
@@ -451,6 +462,20 @@ def test_parser_is_rebuilt_when_the_environment_changes(tmp_path, capsys, monkey
     assert info.maxsize == 1 and info.currsize == 1
     assert (info.misses, info.hits) == (2, 1)
     assert cli.build_parser() is not cli.build_parser()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_mode_follows_the_umask(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        assert run("generate", "--kind", "path-graph", "--vertices", 2, "--alphabet", 2,
+                   "--out", tmp_path / "inst.json") == 0
+        write_text_atomic(tmp_path / "artifact.txt", "payload")
+        assert os.umask(previous) == umask  # nothing left the umask changed
+    finally:
+        os.umask(previous)
+    for name in ("inst.json", "artifact.txt"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):

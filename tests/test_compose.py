@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -352,6 +353,56 @@ def test_arity_reduce_hyperedges_sharing_codes_match_brute_force():
     for i in range(4):
         assert binary.accepts[i] is binary.accepts[8 + i] is binary.accepts[20 + i]
         assert binary.accepts[i] is not binary.accepts[4 + i]
+
+
+def test_valid_cell_symbols_ascend_with_decoded_pair_indices(monkeypatch):
+    """Over all 15 repetition patterns and mixed alphabets, the flat enumeration
+    lists exactly the valid cell values, strictly increasing, and each
+    coordinate's pair index at a value is the one `CellInfo.decode` reads."""
+    from reconfcsp import compose
+
+    seen = []
+    enumerate_cells = compose._valid_cell_symbols
+
+    def spy(cell, *args):
+        found = enumerate_cells(cell, *args)
+        seen.append((cell, *found))
+        return found
+
+    monkeypatch.setattr(compose, "_valid_cell_symbols", spy)
+    rng = random.Random(20)
+    alphabets = {"u": 2, "w": 3, "x": 3, "z": 2}
+    for edge in REPETITION_PATTERNS:
+        vertices = tuple(dict.fromkeys(edge))
+        assignments = itertools.product(*(range(alphabets[v]) for v in vertices))
+        chosen = [dict(zip(vertices, a)) for a in assignments if rng.random() < 0.8]
+        accepts = frozenset(tuple(a[v] for v in edge) for a in chosen)
+        graph = ConstraintGraph(4, vertices, (edge,), 3, (accepts,),
+                                vertex_alphabets={v: alphabets[v] for v in vertices})
+        zeros = Assignment(dict.fromkeys(vertices, 0))
+        arity_reduce(ReconfInstance(graph, zeros, zeros))
+        cell, valid, which = seen[-1]
+        expected = _brute_force_binary_tuples(cell, accepts)
+        assert valid.tolist() == sorted({sym for sym, _ in expected[0]}), edge
+        assert (valid[1:] > valid[:-1]).all()
+        assert which.shape == (4, len(valid))
+        for t, sym in enumerate(valid.tolist()):
+            pairs = tuple(cell.pair_lists[i][which[i, t]] for i in range(4))
+            assert pairs == cell.decode(sym), (edge, sym)
+    assert len(seen) == 15
+    # not only singleton cells: many valid values hold a pair of two values
+    assert sum(any(a != b for a, b in cell.decode(sym))
+               for cell, valid, _ in seen for sym in valid.tolist()) > 100
+
+
+def test_superimpose_keeps_one_accept_set_per_distinct_table():
+    inst, _ = solver.generate_instance(
+        "path-graph", 2, 4, 7, satisfiable=True, walk_length=1, extra_tuples=0
+    )
+    graph = compose_system(robustize(inst)).instance.graph
+    contents = {(acc.sizes, acc.codes.tobytes()) for acc in graph.accepts}
+    assert len(graph.accepts) == 64
+    assert len({id(acc) for acc in graph.accepts}) == len(contents) == 25
 
 
 def test_arity_reduce_requires_arity_four():

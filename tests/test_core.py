@@ -495,6 +495,31 @@ def test_accept_set_codes_are_read_only():
             acc.codes[0] = 2
 
 
+@st.composite
+def distinct_hyperedges(draw):
+    """A one-hyperedge graph over distinct vertices with per-vertex alphabets."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    names = draw(st.permutations([f"v{i}" for i in range(len(sizes))]))
+    space = list(itertools.product(*map(range, sizes)))
+    tuples = draw(st.sets(st.sampled_from(space), max_size=len(space)))
+    return ConstraintGraph(len(sizes), tuple(sorted(names)), (tuple(names),), 2,
+                           (frozenset(tuples),), vertex_alphabets=dict(zip(names, sizes)))
+
+
+@given(distinct_hyperedges())
+def test_accept_set_from_table_inverts_vertex_table(graph):
+    distinct, table = graph.vertex_table(0)
+    assert distinct == graph.edges[0]
+    acc = AcceptSet.from_table(table)
+    assert acc.sizes == graph.accepts[0].sizes
+    assert np.array_equal(acc.codes, graph.accepts[0].codes)
+    assert list(acc) == sorted(zip(*np.nonzero(table)))
+    rebuilt = ConstraintGraph(graph.q, graph.vertices, graph.edges, 2, (acc,),
+                              vertex_alphabets=graph.vertex_alphabets)
+    assert rebuilt.accepts[0] is acc
+    assert np.array_equal(rebuilt.vertex_table(0)[1], table)
+
+
 def test_graph_rebuilt_from_accepts_is_equal(triangle):
     graph = triangle.graph
     rebuilt = ConstraintGraph(graph.q, graph.vertices, graph.edges, graph.alphabet, graph.accepts)
