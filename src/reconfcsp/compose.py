@@ -40,6 +40,10 @@ from .robustize import (
     CircuitSystem,
     MICRO_MAX_N,
     RobustCircuit,
+    bit_name,
+    bit_values,
+    block_bits,
+    circuit_bits,
     concat_blocks,
     count_satisfied,
     materialize_micro_csp,
@@ -83,7 +87,6 @@ class AssignmentTesterOutput:
     x_vars: tuple[str, ...]
     y_vars: tuple[str, ...]
     rejection_rate: Fraction
-    sat_list: tuple[int, ...]
     witness: Callable[[int], dict[str, int]]
 
 
@@ -133,7 +136,6 @@ def reference_tester(
         x_vars=tuple(x_names),
         y_vars=(y_name,),
         rejection_rate=Fraction(1),
-        sat_list=sat_list,
         witness=witness,
     )
 
@@ -214,12 +216,20 @@ def pad_edge_groups(groups: list[list], mark=lambda item: item) -> list[list]:
 
 @dataclass(frozen=True)
 class ComposedEdge:
-    index: int
     circuit: RobustCircuit
     sat_index: dict[int, int]
     y1: str
     y2: str
-    x_vars: tuple[str, ...]  # v-block bit names then w-block bit names
+
+    def aux_value(self, sigma: BlockAssignment, error: str) -> int:
+        """Index of the circuit's input under `sigma` in its satisfying set.
+
+        An input outside the set raises "edge <index>: <error>".
+        """
+        bits = concat_blocks(sigma.blocks[self.circuit.v], sigma.blocks[self.circuit.w])
+        if bits not in self.sat_index:
+            raise InstanceError(f"edge {self.circuit.edge_index}: {error}")
+        return self.sat_index[bits]
 
 
 @dataclass(frozen=True)
@@ -228,14 +238,6 @@ class ComposedSystem:
     trace: ReductionTrace
     edges: tuple[ComposedEdge, ...]
     n: int
-
-
-def _bit_name(vertex: str, position: int) -> str:
-    return f"{vertex}@{position}"
-
-
-def _edge_sigma_bits(edge: ComposedEdge, sigma: BlockAssignment) -> int:
-    return concat_blocks(sigma.blocks[edge.circuit.v], sigma.blocks[edge.circuit.w])
 
 
 def compose_system(system: CircuitSystem) -> ComposedSystem:
@@ -250,32 +252,21 @@ def compose_system(system: CircuitSystem) -> ComposedSystem:
         raise InstanceError(
             f"composition enumerates satisfying sets; requires n <= {MICRO_MAX_N}"
         )
-    length = 1 << system.n
-    block_vertices = tuple(
-        _bit_name(v, x) for v in system.graph.vertices for x in range(length)
-    )
     composed_edges, groups, overrides = [], [], {}
     trace = ReductionTrace(stage="compose")
     for v in system.graph.vertices:
-        for x in range(length):
-            trace.vertex_origin[_bit_name(v, x)] = {
-                "kind": "block-bit",
-                "vertex": v,
-                "position": x,
-            }
+        for x in range(1 << system.n):
+            trace.vertex_origin[bit_name(v, x)] = {"kind": "block-bit", "vertex": v, "position": x}
     for c in system.circuits:
         sats = sat_inputs(c)
         if not sats:
             raise InstanceError(f"edge {c.edge_index}: circuit has no satisfying inputs")
-        x_names = tuple(_bit_name(c.v, x) for x in range(length)) + tuple(
-            _bit_name(c.w, x) for x in range(length)
-        )
+        x_names = circuit_bits(c)
         y1, y2 = f"y{c.edge_index}.1", f"y{c.edge_index}.2"
         twin1 = reference_tester(sats, x_names, y1)
         twin2 = reference_tester(sats, x_names, y2)
         sup = superimpose(twin1, twin2)
-        overrides[y1] = len(sats)
-        overrides[y2] = len(sats)
+        overrides[y1] = overrides[y2] = len(sats)
         trace.vertex_origin[y1] = {"kind": "aux", "edge": c.edge_index, "twin": 1}
         trace.vertex_origin[y2] = {"kind": "aux", "edge": c.edge_index, "twin": 2}
         group = [
@@ -283,21 +274,14 @@ def compose_system(system: CircuitSystem) -> ComposedSystem:
             for edge, acc, pair in zip(sup.graph.edges, sup.graph.accepts, sup.hyperedge_pairs)
         ]
         groups.append(group)
-        composed_edges.append(
-            ComposedEdge(
-                index=c.edge_index,
-                circuit=c,
-                sat_index={s: j for j, s in enumerate(sats)},
-                y1=y1,
-                y2=y2,
-                x_vars=x_names,
-            )
-        )
+        composed_edges.append(ComposedEdge(c, {s: j for j, s in enumerate(sats)}, y1, y2))
     groups = pad_edge_groups(groups, mark=lambda item: (*item[:2], {**item[2], "padding": True}))
     items = [item for group in groups for item in group]
     edges, accepts = [item[0] for item in items], [item[1] for item in items]
     trace.hyperedge_origin.extend(item[2] for item in items)
-    vertices = block_vertices + tuple(name for e in composed_edges for name in (e.y1, e.y2))
+    vertices = block_bits(system.n, system.graph.vertices) + tuple(
+        name for e in composed_edges for name in (e.y1, e.y2)
+    )
     graph = ConstraintGraph(
         q=4,
         vertices=vertices,
@@ -308,18 +292,11 @@ def compose_system(system: CircuitSystem) -> ComposedSystem:
     )
 
     def endpoint(sigma: BlockAssignment) -> Assignment:
-        values: dict[str, int] = {}
-        for v in system.graph.vertices:
-            block = sigma.blocks[v]
-            for x in range(length):
-                values[_bit_name(v, x)] = block.bit(x)
+        values = bit_values(sigma)
         for e in composed_edges:
-            bits = _edge_sigma_bits(e, sigma)
-            if bits not in e.sat_index:
-                raise InstanceError(
-                    f"edge {e.index}: endpoint blocks do not satisfy the circuit"
-                )
-            values[e.y1] = values[e.y2] = e.sat_index[bits]
+            values[e.y1] = values[e.y2] = e.aux_value(
+                sigma, "endpoint blocks do not satisfy the circuit"
+            )
         return Assignment(values)
 
     instance = ReconfInstance(graph, endpoint(system.sigma_ini), endpoint(system.sigma_tar))
@@ -338,21 +315,14 @@ def staged_sequence(
     """
     if not sigma_seq:
         raise InstanceError("sigma sequence must be non-empty")
-    length = 1 << composed.n
     y_values: dict[str, int] = {}
     for e in composed.edges:
-        bits = _edge_sigma_bits(e, sigma_seq[0])
-        if bits not in e.sat_index:
-            raise InstanceError(f"edge {e.index}: sigma step 0 does not satisfy the circuit")
-        y_values[e.y1] = y_values[e.y2] = e.sat_index[bits]
+        y_values[e.y1] = y_values[e.y2] = e.aux_value(
+            sigma_seq[0], "sigma step 0 does not satisfy the circuit"
+        )
 
     def materialize(sigma: BlockAssignment) -> Assignment:
-        values: dict[str, int] = {}
-        for v, block in sigma.blocks.items():
-            for x in range(length):
-                values[_bit_name(v, x)] = block.bit(x)
-        values.update(y_values)
-        return Assignment(values)
+        return Assignment({**bit_values(sigma), **y_values})
 
     steps = [materialize(sigma_seq[0])]
     for t in range(len(sigma_seq) - 1):
@@ -363,22 +333,16 @@ def staged_sequence(
         affected = [
             e for e in composed.edges if moved_vertex in (e.circuit.v, e.circuit.w)
         ]
-        targets = {}
-        for e in affected:
-            bits = _edge_sigma_bits(e, sigma_seq[t + 1])
-            if bits not in e.sat_index:
-                raise InstanceError(
-                    f"edge {e.index}: sigma step {t + 1} does not satisfy the circuit"
-                )
-            targets[e.index] = e.sat_index[bits]
-        for e in affected:
-            if y_values[e.y1] != targets[e.index]:
-                y_values[e.y1] = targets[e.index]
+        error = f"sigma step {t + 1} does not satisfy the circuit"
+        targets = [e.aux_value(sigma_seq[t + 1], error) for e in affected]
+        for e, target in zip(affected, targets):
+            if y_values[e.y1] != target:
+                y_values[e.y1] = target
                 steps.append(materialize(sigma_seq[t]))
         steps.append(materialize(sigma_seq[t + 1]))
-        for e in affected:
-            if y_values[e.y2] != targets[e.index]:
-                y_values[e.y2] = targets[e.index]
+        for e, target in zip(affected, targets):
+            if y_values[e.y2] != target:
+                y_values[e.y2] = target
                 steps.append(materialize(sigma_seq[t + 1]))
     return ReconfigSequence(tuple(steps))
 
@@ -387,16 +351,13 @@ def restrict_to_blocks(
     composed: ComposedSystem, seq: ReconfigSequence, system_vertices: Sequence[str]
 ) -> list[BlockAssignment]:
     """Project a composed-instance sequence back to block assignments."""
-    length = 1 << composed.n
+    names = {v: block_bits(composed.n, (v,)) for v in system_vertices}
     out = []
     for step in seq.steps:
         blocks = {}
-        for v in system_vertices:
-            bits = 0
-            for x in range(length):
-                if step.values[_bit_name(v, x)]:
-                    bits |= 1 << x
-            blocks[v] = BitFunction(composed.n, bits)
+        for v, bits in names.items():
+            block = sum(bool(step.values[name]) << x for x, name in enumerate(bits))
+            blocks[v] = BitFunction(composed.n, block)
         out.append(BlockAssignment(composed.n, blocks))
     return out
 
@@ -662,9 +623,7 @@ class PipelineResult:
 SCAN_CAP = 4096
 
 
-def stage_maxmin(
-    instance: ReconfInstance, budget: int, scan_cap: int
-) -> tuple[Value | None, str | None]:
+def stage_maxmin(instance: ReconfInstance, budget: int) -> tuple[Value | None, str | None]:
     """Oracle policy for one pipeline stage.
 
     Equal endpoints need no search; small spaces get the full maxmin search;
@@ -675,7 +634,7 @@ def stage_maxmin(
     if instance.psi_ini == instance.psi_tar:
         return value(instance.graph, instance.psi_ini), "endpoint-value"
     size = solver.state_space_size(instance.graph)
-    if size <= scan_cap:
+    if size <= SCAN_CAP:
         return solver.maxmin_value(instance, budget=budget).optimum, "bfs-scan"
     if size <= budget:
         ok, _ = solver.reachable_at_threshold(instance, total, budget=budget)
@@ -687,7 +646,7 @@ def stage_maxmin(
 
 def _report(name: str, instance: ReconfInstance, budget: int | None) -> StageReport:
     """The stage's shape, plus its oracle value unless `budget` is None."""
-    maxmin, method = (None, None) if budget is None else stage_maxmin(instance, budget, SCAN_CAP)
+    maxmin, method = (None, None) if budget is None else stage_maxmin(instance, budget)
     return StageReport(
         stage=name,
         vertices=len(instance.graph.vertices),

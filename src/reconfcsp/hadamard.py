@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -163,19 +163,16 @@ def codeword_distances(
 WALK_CHUNK_BYTES = 1 << 22
 
 
-def walk_distances(
-    n: int, walk: Sequence[int], rows: int | None = None
-) -> Iterator[np.ndarray]:
+def walk_distances(n: int, walk: Sequence[int]) -> Iterator[np.ndarray]:
     """Distances of each block of a single-bit walk to every codeword, a chunk at a time.
 
     Yields (k, 2^n) int32 matrices whose rows are the distances of walk[0],
     walk[1], ...: row 0 by popcount, each next one as the row before plus
     row x of `hadamard_signs`, negated where bit x was set.  A chunk holds at
-    most `rows` rows (by default WALK_CHUNK_BYTES of them) and is overwritten
-    by the next.  Every step must change exactly one bit.
+    most WALK_CHUNK_BYTES of rows and is overwritten by the next.  Every step
+    must change exactly one bit.
     """
-    if rows is None:
-        rows = max(1, WALK_CHUNK_BYTES // (4 << n))
+    rows = max(1, WALK_CHUNK_BYTES // (4 << n))
     signs = hadamard_signs(n)
     # popcounted before the buffer is allocated, so their peaks do not add
     last = codeword_distances(n, walk[0]) if walk else None
@@ -266,13 +263,24 @@ def partition_triple(alpha: int, beta: int, gamma: int, n: int) -> PartitionRepo
 
 @dataclass(frozen=True)
 class CodewordPath:
-    """A single-bit-step path from the codeword of alpha to that of beta."""
+    """The single-bit-step path from the codeword of alpha that flips `flip_order` in turn.
+
+    A path is its flip order: `steps` (the codeword of alpha, then one block
+    per flip) is built from it and takes no part in equality or hashing.
+    """
 
     n: int
     alpha: int
     beta: int
-    steps: tuple[BitFunction, ...]
     flip_order: tuple[int, ...]
+    steps: tuple[BitFunction, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "flip_order", tuple(self.flip_order))
+        steps = [had_encode(self.alpha, self.n)]
+        for position in self.flip_order:
+            steps.append(steps[-1].flip(position))
+        object.__setattr__(self, "steps", tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -285,104 +293,56 @@ class PathReport:
     detail: str = ""
 
 
-def build_path(alpha: int, beta: int, n: int, flip_order: Sequence[int]) -> CodewordPath:
-    """Materialize the path that flips the given positions in order."""
-    current = had_encode(alpha, n)
-    steps = [current]
-    for position in flip_order:
-        current = current.flip(position)
-        steps.append(current)
-    return CodewordPath(n, alpha, beta, tuple(steps), tuple(flip_order))
-
-
-def path_distances(path: CodewordPath) -> np.ndarray:
-    """(steps, 2^n) int32 matrix whose entry [t, gamma] is the distance of step t to had(gamma).
-
-    One `walk_distances` chunk; every step must change exactly one bit.
-    """
-    (dist,) = walk_distances(path.n, [step.bits for step in path.steps], len(path.steps))
-    return dist
-
-
-def _path_chunks(
-    path: CodewordPath, start: int = 0, stop: int | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(first step, distances) of each `walk_distances` chunk of steps start..stop-1."""
-    for dist in walk_distances(path.n, [step.bits for step in path.steps[start:stop]]):
-        yield start, dist
-        start += len(dist)
-
-
 def _first_close(
-    path: CodewordPath, chunks: Iterable[tuple[int, np.ndarray]], radius: Fraction
+    path: CodewordPath, radius: Fraction, start: int = 0, stop: int | None = None
 ) -> tuple[int, int, Fraction] | None:
+    """`find_close_step` over steps start..stop-1 alone."""
     length = 1 << path.n
-    for start, dist in chunks:
+    for dist in walk_distances(path.n, [step.bits for step in path.steps[start:stop]]):
         close = dist <= int(radius * length)  # dist <= radius  <=>  hamming <= floor(radius * 2^n)
         close[:, [path.alpha, path.beta]] = False
         first = int(close.argmax())  # first row-major hit: earliest step, then smallest gamma
         if close.flat[first]:
             t, gamma = divmod(first, length)
             return start + t, gamma, Fraction(int(dist[t, gamma]), length)
+        start += len(dist)
     return None
 
 
 def find_close_step(path: CodewordPath, radius: Fraction) -> tuple[int, int, Fraction] | None:
     """First (step, gamma, distance) with a third codeword within `radius`, else None."""
-    return _first_close(path, _path_chunks(path), radius)
+    return _first_close(path, radius)
 
 
-def farness_violation(
-    path: CodewordPath, dist: np.ndarray | None = None
-) -> tuple[int, int, Fraction] | None:
+def farness_violation(path: CodewordPath) -> tuple[int, int, Fraction] | None:
     """First (step, gamma, distance) with a third codeword within 1/4 + FARNESS_MARGIN, else None.
 
     The path is far from every other codeword exactly when this is None.
-    `dist` is the path's `path_distances`; without it the path is walked
-    a chunk at a time.
     """
-    chunks = _path_chunks(path) if dist is None else [(0, dist)]
-    return _first_close(path, chunks, QUARTER + FARNESS_MARGIN)
+    return _first_close(path, QUARTER + FARNESS_MARGIN)
 
 
 def _window_close(path: CodewordPath, radius: Fraction) -> tuple[int, int, Fraction] | None:
-    """`find_close_step` for a path whose steps flip a permutation of D, one bit each.
+    """`find_close_step` for a path whose flip order is a permutation of D.
 
     Step t is then t from had(alpha) and 2^(n-1) - t from had(beta), both
     2^(n-1) from every other codeword, so it is at least max(t, 2^(n-1) - t)
     from them: only steps 2^(n-1) - r .. r, r = floor(radius * 2^n), are read.
     """
     half, r = 1 << (path.n - 1), int(radius * (1 << path.n))
-    return _first_close(path, _path_chunks(path, max(0, half - r), r + 1), radius)
+    return _first_close(path, radius, max(0, half - r), r + 1)
 
 
 def verify_codeword_path(path: CodewordPath) -> PathReport:
-    """Check structure, quarter-closeness, and third-codeword farness.
+    """Check that the flip order is a permutation of D, and third-codeword farness.
 
     The farness condition is strict: every step must be more than
     1/4 + FARNESS_MARGIN away from every codeword other than the endpoints.
-    Once the structure holds, only the steps where it can fail are read.
+    Only the steps where it can fail are read.
     """
-    n = path.n
-    start = had_encode(path.alpha, n)
-    end = had_encode(path.beta, n)
-    d_set = disagreement_set(path.alpha, path.beta, n)
-    if path.steps[0] != start:
-        return PathReport(False, "structure", 0, detail="first step is not the alpha codeword")
-    if path.steps[-1] != end:
-        return PathReport(False, "structure", len(path.steps) - 1,
-                          detail="last step is not the beta codeword")
-    if len(path.steps) != (1 << (n - 1)) + 1:
-        return PathReport(False, "structure", detail="wrong number of steps")
-    if sorted(path.flip_order) != sorted(d_set):
+    if sorted(path.flip_order) != sorted(disagreement_set(path.alpha, path.beta, path.n)):
         return PathReport(False, "structure", detail="flip order is not a permutation of D")
-    # flip_order is a permutation of D, so each step flips one position of D
-    steps = path.steps
-    for t, position in enumerate(path.flip_order):
-        if steps[t].bits ^ steps[t + 1].bits != 1 << position:
-            return PathReport(False, "structure", t,
-                              detail=f"step does not flip position {position} of the flip order")
-    # so step t is t from had(alpha) and 2^(n-1) - t from had(beta): quarter-close to one
+    # so the path ends at had(beta), and each step is quarter-close to one endpoint
     hit = _window_close(path, QUARTER + FARNESS_MARGIN)
     if hit is not None:
         t, gamma, distance = hit
@@ -414,7 +374,7 @@ def generate_codeword_path(
         rng = stream(seed, "codeword-path", alpha, beta, attempt)
         order = list(positions)
         rng.shuffle(order)
-        path = build_path(alpha, beta, n, order)
+        path = CodewordPath(n, alpha, beta, order)
         if n < 9:
             return path
         report = verify_codeword_path(path)
@@ -433,8 +393,8 @@ def generate_codeword_path(
 
 def distance_profile(path: CodewordPath) -> list[tuple[int, int, int, int]]:
     """Rows (step, hamming-to-alpha, hamming-to-beta, min-hamming-to-others)."""
-    rows = []
-    for start, dist in _path_chunks(path):
+    rows, start = [], 0
+    for dist in walk_distances(path.n, [step.bits for step in path.steps]):
         others = np.delete(dist, [path.alpha, path.beta], axis=1).min(axis=1)
         rows += zip(
             range(start, start + len(dist)),
@@ -442,6 +402,7 @@ def distance_profile(path: CodewordPath) -> list[tuple[int, int, int, int]]:
             dist[:, path.beta].tolist(),
             others.tolist(),
         )
+        start += len(dist)
     return rows
 
 
@@ -452,8 +413,7 @@ def exhaust_flip_orders(alpha: int, beta: int, n: int, radius: Fraction = QUARTE
     """
     positions = sorted(disagreement_set(alpha, beta, n))
     for order in itertools.permutations(positions):
-        path = build_path(alpha, beta, n, order)
-        yield order, find_close_step(path, radius)
+        yield order, find_close_step(CodewordPath(n, alpha, beta, order), radius)
 
 
 # ---------------------------------------------------------------------------

@@ -469,6 +469,27 @@ def four_phase_block_path(
     return steps
 
 
+def bit_name(vertex: str, position: int) -> str:
+    """The bit variable that holds bit `position` of `vertex`'s block."""
+    return f"{vertex}@{position}"
+
+
+def block_bits(n: int, vertices: Sequence[str]) -> tuple[str, ...]:
+    """The bit variables of the blocks of `vertices`: block by block, each in position order."""
+    return tuple(bit_name(v, x) for v in vertices for x in range(1 << n))
+
+
+def circuit_bits(circuit: RobustCircuit) -> tuple[str, ...]:
+    """A circuit's input bits, v's block then w's, the order of `concat_blocks`."""
+    return block_bits(circuit.n, (circuit.v, circuit.w))
+
+
+def bit_values(sigma: BlockAssignment) -> dict[str, int]:
+    """Every block bit of `sigma`, by its bit variable."""
+    length = 1 << sigma.n
+    return {bit_name(v, x): f.bit(x) for v, f in sigma.blocks.items() for x in range(length)}
+
+
 def materialize_micro_csp(system: CircuitSystem) -> ReconfInstance:
     """Express the circuit system as a (2*2^n)-ary constraint graph over bits.
 
@@ -477,41 +498,19 @@ def materialize_micro_csp(system: CircuitSystem) -> ReconfInstance:
     exactly single-bit moves on the block assignment.
     """
     _micro_guard(system.n)
-    length = 1 << system.n
-    graph = system.graph
-    bit_names = {
-        (v, x): f"{v}@{x}" for v in graph.vertices for x in range(length)
-    }
-    vertices = tuple(bit_names[(v, x)] for v in graph.vertices for x in range(length))
-    edges = []
-    accepts = []
-    for c in system.circuits:
-        edge = tuple(bit_names[(c.v, x)] for x in range(length)) + tuple(
-            bit_names[(c.w, x)] for x in range(length)
-        )
-        tuples = frozenset(
-            tuple((bits >> i) & 1 for i in range(2 * length)) for bits in sat_inputs(c)
-        )
-        edges.append(edge)
-        accepts.append(tuples)
+    width = 2 << system.n
     micro_graph = ConstraintGraph(
-        q=2 * length,
-        vertices=vertices,
-        edges=tuple(edges),
+        q=width,
+        vertices=block_bits(system.n, system.graph.vertices),
+        edges=tuple(circuit_bits(c) for c in system.circuits),
         alphabet=2,
-        accepts=tuple(accepts),
+        accepts=tuple(
+            frozenset(tuple((bits >> i) & 1 for i in range(width)) for bits in sat_inputs(c))
+            for c in system.circuits
+        ),
     )
-
-    def bits_of(sigma: BlockAssignment) -> Assignment:
-        return Assignment(
-            {
-                bit_names[(v, x)]: sigma.blocks[v].bit(x)
-                for v in graph.vertices
-                for x in range(length)
-            }
-        )
-
-    return ReconfInstance(micro_graph, bits_of(system.sigma_ini), bits_of(system.sigma_tar))
+    ini, tar = (Assignment(bit_values(sigma)) for sigma in (system.sigma_ini, system.sigma_tar))
+    return ReconfInstance(micro_graph, ini, tar)
 
 
 # ---------------------------------------------------------------------------

@@ -303,7 +303,6 @@ def generate_instance(
     walk_length: int | None = None,
     extra_tuples: int = 2,
     budget: int = DEFAULT_BUDGET,
-    max_attempts: int = 20,
 ) -> tuple[ReconfInstance, ReconfigSequence | None]:
     """Deterministic per-seed instance generator.
 
@@ -325,7 +324,7 @@ def generate_instance(
         edge_count = vertices
     if walk_length is None:
         walk_length = 2 * vertices
-    for attempt in range(max_attempts):
+    for attempt in range(20):  # fresh seeded skeletons before giving up
         rng = stream(seed, "generate", kind, attempt)
         edges = _edge_skeleton(kind, names, edge_count, rng)
         if not satisfiable:

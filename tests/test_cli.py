@@ -87,6 +87,7 @@ def test_hadamard_path_verify(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "step,dist_alpha,dist_beta,min_dist_other"
     assert len(lines) == 1 + 257
+    assert b"\r" not in csv_path.read_bytes()
     assert "verification: pass" in capsys.readouterr().out
 
 
@@ -99,12 +100,16 @@ def test_hadamard_path_verify(tmp_path, capsys):
     ["hadamard", "path", "--n", 13, "--alpha", 0, "--beta", 1],
     ["hadamard", "path", "--n", 9, "--alpha", 0, "--beta", 1, "--retries", 0],
     ["experiment", "fig2-profile", "--n", 1],
+    ["experiment", "claim-partition", "--n", 1],
+    # (2^7)^3 triples: about a minute
+    ["experiment", "claim-partition", "--n", 7],
     ["hadamard", "partial-sum", "--n", 0],
     ["hadamard", "partial-sum", "--trials", 0],
     # at the default --n 128 this would enumerate C(256, 128) arrangements
     ["hadamard", "partial-sum", "--exhaustive"],
 ], ids=["alpha-too-big", "beta-too-big", "alpha-negative", "alpha-equals-beta",
         "n-too-small", "n-too-big", "no-retries", "fig2-n-too-small",
+        "claim-partition-n-1", "claim-partition-n-7",
         "partial-sum-n-0", "partial-sum-trials-0", "exhaustive-n-128"])
 def test_hadamard_path_input_guards(argv, capsys):
     from reconfcsp.hadamard import codeword_table
@@ -363,6 +368,7 @@ def test_pipeline_micro_report(tmp_path):
     assert lines[0] == "stage,vertices,edges,max-alphabet,maxmin-numerator,maxmin-denominator"
     assert lines[1].startswith("source,")
     assert any(line.startswith("# theoretical") for line in lines)
+    assert b"\r" not in report.read_bytes()  # rows and comments alike end in LF
     assert (out_dir / "binary_instance.json").exists()
     assert (out_dir / "trace.json").exists()
 
@@ -389,6 +395,13 @@ def test_experiment_obs_n3(tmp_path, capsys):
 def test_experiment_claim_partition(capsys):
     assert run("experiment", "claim-partition", "--n", 4) == 0
     assert "all counts equal 4: True" in capsys.readouterr().out
+
+
+def test_claim_partition_refuses_the_path_n_from_the_environment(capsys, monkeypatch):
+    # RECONF_N=9 suits `hadamard path`; claim-partition would run for over an hour
+    monkeypatch.setenv("RECONF_N", "9")
+    assert run("experiment", "claim-partition") == 2
+    assert capsys.readouterr().err == "error: --n must be in 2..6, got 9\n"
 
 
 def test_experiment_fig2(tmp_path, capsys):

@@ -30,7 +30,7 @@ from reconfcsp.core import (
     value,
 )
 from reconfcsp.hadamard import had_encode
-from reconfcsp.robustize import robustize, single_bit_change
+from reconfcsp.robustize import circuit_bits, materialize_micro_csp, robustize, single_bit_change
 from reconfcsp import solver
 
 from conftest import single_edge
@@ -214,6 +214,54 @@ def test_restriction_is_valid_sigma_sequence():
         single_bit_change(a, b)  # raises if more than one bit moves
     assert blocks[0] == system.sigma_ini
     assert blocks[-1] == system.sigma_ini
+
+
+def _layout_system(n):
+    """The lean seed-7 system (n = 2, endpoints one move apart), or an n = 3 one."""
+    from reconfcsp.cli import generate_instance
+
+    alphabet, walk = {2: (4, 1), 3: (5, 0)}[n]
+    inst, _ = generate_instance("path-graph", 2, alphabet, 7, satisfiable=True,
+                                walk_length=walk, extra_tuples=0)
+    system = robustize(inst)
+    assert system.n == n
+    return system
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_composition_names_block_bits_as_the_micro_csp_does(n):
+    system = _layout_system(n)
+    micro, composed = materialize_micro_csp(system), compose_system(system)
+    graph, origins = composed.instance.graph, composed.trace.hyperedge_origin
+    bits = micro.graph.vertices
+    assert graph.vertices[: len(bits)] == bits
+    assert graph.vertices[len(bits):] == tuple(y for e in composed.edges for y in (e.y1, e.y2))
+    for e, hyperedge in zip(composed.edges, micro.graph.edges):
+        inputs = {}
+        for edge, origin in zip(graph.edges, origins):
+            if origin["source_edge"] == e.circuit.edge_index:
+                assert (edge[0], edge[2]) == (e.y1, e.y2)
+                i1, i2 = origin["twin_pair"]
+                inputs[i1], inputs[i2] = edge[1], edge[3]
+        assert tuple(inputs[i] for i in range(len(inputs))) == hyperedge == circuit_bits(e.circuit)
+    for psi, micro_psi in ((composed.instance.psi_ini, micro.psi_ini),
+                           (composed.instance.psi_tar, micro.psi_tar)):
+        assert {v: psi.values[v] for v in bits} == micro_psi.values
+    ends = ReconfigSequence((composed.instance.psi_ini, composed.instance.psi_tar))
+    restricted = restrict_to_blocks(composed, ends, system.graph.vertices)
+    assert restricted == [system.sigma_ini, system.sigma_tar]
+
+
+def test_circuit_inputs_outside_the_satisfying_set_are_named():
+    system = robustize(single_edge({(0, 0)}, 4, (0, 0), (0, 0)))
+    composed = compose_system(system)
+    off = system.sigma_ini.flip("u", 1)  # within 1/4 of three codewords
+    with pytest.raises(InstanceError, match="^edge 0: endpoint blocks do not satisfy the circuit$"):
+        compose_system(dataclasses.replace(system, sigma_tar=off))
+    with pytest.raises(InstanceError, match="^edge 0: sigma step 0 does not satisfy the circuit$"):
+        staged_sequence(composed, [off])
+    with pytest.raises(InstanceError, match="^edge 0: sigma step 1 does not satisfy the circuit$"):
+        staged_sequence(composed, [system.sigma_ini, off])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from reconfcsp.hadamard import (
     BitFunction,
     PathGenerationError,
     CodewordPath,
-    build_path,
     codeword_distances,
     codeword_table,
     disagreement_set,
@@ -34,7 +33,6 @@ from reconfcsp.hadamard import (
     partial_sum_exhaustive,
     partial_sum_experiment,
     partition_triple,
-    path_distances,
     rel_distance,
     verify_codeword_path,
 )
@@ -139,18 +137,30 @@ def test_verify_rejects_flip_outside_d():
     d = sorted(disagreement_set(0, 1, 4))
     outside = next(x for x in range(16) if x not in d)
     order = d[:-1] + [outside]
-    path = build_path(0, 1, 4, order)
+    path = CodewordPath(4, 0, 1, order)
     report = verify_codeword_path(path)
     assert not report.ok and report.kind == "structure"
 
 
-def test_verify_rejects_a_flip_order_its_steps_do_not_follow():
+def test_verify_rejects_a_flip_order_that_repeats_a_position_of_d():
+    d = sorted(disagreement_set(40, 333, 9))
+    report = verify_codeword_path(CodewordPath(9, 40, 333, d[:-1] + [d[0]]))
+    assert not report.ok and report.kind == "structure" and report.step is None
+    assert report.detail == "flip order is not a permutation of D"
+
+
+def test_a_path_is_its_flip_order():
     path = generate_codeword_path(40, 333, 9, seed=6)
-    assert verify_codeword_path(path).ok
-    order = tuple(reversed(path.flip_order))  # still a permutation of D
-    report = verify_codeword_path(CodewordPath(path.n, path.alpha, path.beta, path.steps, order))
-    assert not report.ok and report.kind == "structure" and report.step == 0
-    assert report.detail == f"step does not flip position {order[0]} of the flip order"
+    again = CodewordPath(9, 40, 333, list(path.flip_order))
+    assert again == path and hash(again) == hash(path) and again.steps == path.steps
+    assert path.steps[0] == had_encode(40, 9) and len(path.steps) == len(path.flip_order) + 1
+    for t, position in enumerate(path.flip_order):
+        assert path.steps[t + 1] == path.steps[t].flip(position)
+    swapped = path.flip_order[1::-1] + path.flip_order[2:]
+    assert CodewordPath(9, 40, 333, swapped) != path
+    assert "steps" not in repr(path)
+    with pytest.raises(TypeError):
+        CodewordPath(9, 40, 333, path.flip_order, path.steps)
 
 
 def profile_is_far(path):
@@ -168,7 +178,6 @@ def test_farness_violation_agrees_with_the_profile_predicate():
     assert farness_violation(near) == (4, 8, Fraction(1, 4))
     for path in paths:
         assert profile_is_far(path) and farness_violation(path) is None
-        assert farness_violation(path, path_distances(path)) is None
 
 
 def test_verify_reports_distance_failure_at_n3():
@@ -286,33 +295,20 @@ def test_codeword_distances_match_scan_seeded():
             assert codeword_distances(n, bits).tolist() == scan_distances(n, bits)
 
 
-def test_path_distances_match_scan_at_n9():
-    path = generate_codeword_path(40, 333, 9, seed=6)
-    dist = path_distances(path)
-    assert dist.shape == (257, 512)
-    for t, f in enumerate(path.steps):
-        assert dist[t].tolist() == scan_distances(9, f.bits)
-
-
 @pytest.mark.parametrize("rows", [1, 2, 7, 256, None])
-def test_walk_distances_in_chunks_match_scan(rows):
+def test_walk_distances_in_chunks_match_scan(monkeypatch, rows):
+    if rows is not None:
+        monkeypatch.setattr(hadamard, "WALK_CHUNK_BYTES", rows * (4 << 9))
     path = generate_codeword_path(40, 333, 9, seed=6)
     walk = [step.bits for step in path.steps] + [path.steps[-2].bits]
     got = []
-    for dist in hadamard.walk_distances(9, walk, rows):
+    for dist in hadamard.walk_distances(9, walk):
         assert len(dist) <= (rows or hadamard.WALK_CHUNK_BYTES // (4 << 9))
         got += dist.tolist()  # the next chunk overwrites this one
     assert got == [scan_distances(9, bits) for bits in walk]
     jumped = walk[:100] + [walk[99] ^ 0b111] + walk[100:]
     with pytest.raises(ValueError, match="path step 99 changes 3 bits"):
-        list(hadamard.walk_distances(9, jumped, rows))
-
-
-def test_path_distances_reject_multi_bit_step():
-    a, b = had_encode(0, 3), had_encode(1, 3)
-    path = CodewordPath(3, 0, 1, (a, b), ())
-    with pytest.raises(ValueError, match="changes 4 bits"):
-        path_distances(path)
+        list(hadamard.walk_distances(9, jumped))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +449,7 @@ def test_sign_table_is_built_on_first_use_not_at_import():
 def test_find_close_step_matches_scan_all_orders_n3():
     orders = 0
     for order, hit in exhaust_flip_orders(0, 1, 3):
-        assert hit == scan_first_close(build_path(0, 1, 3, order), QUARTER)
+        assert hit == scan_first_close(CodewordPath(3, 0, 1, order), QUARTER)
         orders += 1
     assert orders == 24
 
@@ -478,7 +474,7 @@ def test_path_checks_read_chunks_in_step_order(monkeypatch, rows):
     # an n = 9 path is one chunk by default; in chunks of `rows` steps the first
     # hits, profile rows and reports must still be those of the whole path
     far = QUARTER + FARNESS_MARGIN
-    ordered = build_path(40, 333, 9, sorted(disagreement_set(40, 333, 9)))
+    ordered = CodewordPath(9, 40, 333, sorted(disagreement_set(40, 333, 9)))
     monkeypatch.setattr(hadamard, "WALK_CHUNK_BYTES", rows * (4 << 9))
     for path in (generate_codeword_path(40, 333, 9, seed=6), ordered):
         profile = []
@@ -529,7 +525,7 @@ def test_window_gives_the_first_hit_of_the_full_scan(n):
         order = sorted(disagreement_set(alpha, beta, n))
         if trial % 4:  # every fourth path keeps D in ascending order
             rng.shuffle(order)
-        path = build_path(alpha, beta, n, order)
+        path = CodewordPath(n, alpha, beta, order)
         for radius in radii:
             hit = find_close_step(path, radius)
             assert hadamard._window_close(path, radius) == hit
@@ -548,9 +544,9 @@ def test_verification_reads_only_the_steps_where_farness_can_fail(monkeypatch):
     read = []
     walk = hadamard.walk_distances
 
-    def spy(n, steps, rows=None):
+    def spy(n, steps):
         read.append(steps)
-        return walk(n, steps, rows)
+        return walk(n, steps)
 
     monkeypatch.setattr(hadamard, "walk_distances", spy)
     assert all(verify_codeword_path(path).ok for path in paths)
@@ -570,14 +566,14 @@ def test_steps_built_without_rechecks_equal_public_blocks():
             f.flip(position)
     order = sorted(disagreement_set(40, 333, n))
     with pytest.raises(ValueError, match=f"^position {1 << n} out of range$"):
-        build_path(40, 333, n, order[:-1] + [1 << n])
-    for block in (f.flip(3), build_path(40, 333, n, order).steps[-1]):
+        CodewordPath(n, 40, 333, order[:-1] + [1 << n])
+    for block in (f.flip(3), CodewordPath(n, 40, 333, order).steps[-1]):
         public = BitFunction(n, block.bits)
         assert block == public and hash(block) == hash(public) and repr(block) == repr(public)
         with pytest.raises(dataclasses.FrozenInstanceError):
             block.bits = 0
     assert f.flip(3).bits == f.bits ^ 8
-    assert build_path(40, 333, n, order).steps[-1] == had_encode(333, n)
+    assert CodewordPath(n, 40, 333, order).steps[-1] == had_encode(333, n)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
