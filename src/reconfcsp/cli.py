@@ -26,7 +26,6 @@ from .constants import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
     PARTIAL_SUM_MIN_N,
-    QUARTER,
     THEORETICAL,
 )
 from .core import InstanceError
@@ -51,6 +50,8 @@ def write_csv_atomic(path: str | Path, header: list[str], rows: list[list], comm
 
 
 def _cmd_generate(args) -> int:
+    if args.path_out and not args.satisfiable:
+        raise InstanceError("--path-out needs --satisfiable: only a satisfiable instance has a walk")
     print(f"seed: {args.seed}")
     instance, walk = generate_instance(
         kind=args.kind,
@@ -65,7 +66,7 @@ def _cmd_generate(args) -> int:
     )
     write_text_atomic(args.out, core.serialize(instance))
     print(f"instance: {args.out}")
-    if walk is not None and args.path_out:
+    if args.path_out:
         write_json(args.path_out, core.sequence_to_obj(walk, instance.graph.vertices))
         print(f"satisfying path: {args.path_out}")
     return 0
@@ -125,7 +126,8 @@ def _cmd_hadamard_partial_sum(args) -> int:
         raise InstanceError(f"--n and --trials must be positive, got {args.n} and {args.trials}")
     if args.exhaustive and args.n > hadamard.EXHAUSTIVE_MAX_N:
         raise InstanceError(f"--exhaustive needs --n <= {hadamard.EXHAUSTIVE_MAX_N}, got {args.n}")
-    print(f"seed: {args.seed}")
+    if args.n > hadamard.PARTIAL_SUM_MAX_N:
+        raise InstanceError(f"--n must be at most {hadamard.PARTIAL_SUM_MAX_N}, got {args.n}")
     if args.exhaustive:
         freq = hadamard.partial_sum_exhaustive(args.n)
         print(f"exhaustive frequency: {freq}")
@@ -136,6 +138,7 @@ def _cmd_hadamard_partial_sum(args) -> int:
                 [[args.n, "exhaustive", freq.numerator, freq.denominator]],
             )
         return 0
+    print(f"seed: {args.seed}")
     result = hadamard.partial_sum_experiment(args.n, args.trials, args.seed)
     freq = result.frequency
     print(
@@ -227,6 +230,9 @@ _THEORY_COMMENTS = [
 
 
 def _cmd_pipeline(args) -> int:
+    for flag, given, mode in (("--path", args.path, "n9"), ("--out", args.out, "micro")):
+        if given and args.mode != mode:
+            raise InstanceError(f"{flag} is used by --mode {mode} only")
     print(f"seed: {args.seed}")
     instance = read_instance(args.instance)
     psi_seq = None
@@ -251,7 +257,7 @@ def _cmd_pipeline(args) -> int:
             comments=_THEORY_COMMENTS,
         )
         print(f"report: {args.report}")
-    if args.out and result.mode == "micro":
+    if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_text_atomic(out / "binary_instance.json", core.serialize(result.reduction.instance))
@@ -288,76 +294,36 @@ def _experiment_fig2(args) -> int:
 
 
 def _experiment_obs_n3(args) -> int:
-    rows = []
-    all_fail = True
-    for alpha in range(8):
-        for beta in range(8):
-            if alpha == beta:
-                continue
-            for order, hit in hadamard.exhaust_flip_orders(alpha, beta, 3, QUARTER):
-                if hit is None:
-                    all_fail = False
-                    rows.append([alpha, beta, "-".join(map(str, order)), "", "", ""])
-                else:
-                    step, gamma, dist = hit
-                    rows.append(
-                        [alpha, beta, "-".join(map(str, order)), step, gamma, str(dist)]
-                    )
+    rows, all_hit = hadamard.n3_flip_orders()
     if args.out:
-        write_csv_atomic(
-            args.out,
-            ["alpha", "beta", "order", "close_step", "gamma", "distance"],
-            rows,
-        )
+        write_csv_atomic(args.out, ["alpha", "beta", "order", "close_step", "gamma", "distance"], rows)
         print(f"report: {args.out}")
-    print(f"orders checked: {len(rows)}; every order hits a third codeword: {all_fail}")
-    return 0 if all_fail else 1
-
-
-# claim-partition reads all (2^n)^3 triples, 8x the work per step of n: 8 s at n = 6.
-CLAIM_PARTITION_MAX_N = 6
+    print(f"orders checked: {len(rows)}; every order hits a third codeword: {all_hit}")
+    return 0 if all_hit else 1
 
 
 def _experiment_claim_partition(args) -> int:
-    n = args.n
-    _check_n(n, CLAIM_PARTITION_MAX_N)
-    expected = 1 << (n - 2)
-    rows = []
-    ok = True
-    for alpha in range(1 << n):
-        for beta in range(1 << n):
-            for gamma in range(1 << n):
-                if len({alpha, beta, gamma}) != 3:
-                    continue
-                report = hadamard.partition_triple(alpha, beta, gamma, n)
-                sizes = report.sizes()
-                union_ok = (report.p_alpha | report.p_beta) == hadamard.disagreement_set(
-                    alpha, beta, n
-                )
-                if sizes != (expected,) * 4 or not union_ok:
-                    ok = False
-                rows.append([alpha, beta, gamma, *sizes, union_ok])
+    _check_n(args.n, hadamard.CLAIM_PARTITION_MAX_N)
+    rows, ok = hadamard.claim_partition(args.n)
     if args.out:
-        write_csv_atomic(
-            args.out,
-            ["alpha", "beta", "gamma", "p_alpha", "p_beta", "p_gamma", "p_equal", "union_is_D"],
-            rows,
-        )
+        header = ["alpha", "beta", "gamma", "p_alpha", "p_beta", "p_gamma", "p_equal", "union_is_D"]
+        write_csv_atomic(args.out, header, rows)
         print(f"report: {args.out}")
-    print(f"triples checked: {len(rows)}; all counts equal {expected}: {ok}")
+    print(f"triples checked: {len(rows)}; all counts equal {1 << (args.n - 2)}: {ok}")
     return 0 if ok else 1
-
-
-_EXPERIMENTS = {
-    "fig2-profile": _experiment_fig2,
-    "obs-n3": _experiment_obs_n3,
-    "claim-partition": _experiment_claim_partition,
-}
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+def nonnegative(text: str) -> int:
+    """argparse type of a count: an integer, refused below 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget(p):
         p.add_argument(
-            "--budget", type=int, default=os.environ.get("RECONF_BUDGET", DEFAULT_BUDGET),
+            "--budget", type=nonnegative, default=os.environ.get("RECONF_BUDGET", DEFAULT_BUDGET),
             help="exact-search state budget (env RECONF_BUDGET)",
         )
 
@@ -399,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="exact maxmin value / threshold reachability")
     solve.add_argument("--instance", required=True)
-    solve.add_argument("--threshold", type=int, default=None)
+    solve.add_argument("--threshold", type=nonnegative, default=None)
     solve.add_argument("--witness-out", default=None)
     add_budget(solve)
     solve.set_defaults(func=_cmd_solve)
@@ -459,25 +425,21 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.set_defaults(func=_cmd_pipeline)
 
     exp = sub.add_parser("experiment", help="scripted experiments with CSV output")
-    exp.add_argument("name", choices=sorted(_EXPERIMENTS))
-    exp.add_argument("--n", type=int, default=os.environ.get("RECONF_N"))
-    exp.add_argument("--out", default=None)
-    add_seed(exp)
-    exp.set_defaults(func=_dispatch_experiment)
+    exp_sub = exp.add_subparsers(dest="experiment", required=True)
+    fig2 = exp_sub.add_parser("fig2-profile", help="distance profile of a seeded codeword path")
+    fig2.add_argument("--n", type=int, default=os.environ.get("RECONF_N", 9), help="env RECONF_N")
+    fig2.add_argument("--out", default=None, help="CSV distance profile")
+    add_seed(fig2)
+    fig2.set_defaults(func=_experiment_fig2)
+    obs = exp_sub.add_parser("obs-n3", help="every n = 3 flip order meets a third codeword")
+    obs.add_argument("--out", default=None, help="CSV of every flip order")
+    obs.set_defaults(func=_experiment_obs_n3)
+    part = exp_sub.add_parser("claim-partition", help="class sizes of every distinct triple")
+    part.add_argument("--n", type=int, default=os.environ.get("RECONF_N", 4), help="env RECONF_N")
+    part.add_argument("--out", default=None, help="CSV of every triple")
+    part.set_defaults(func=_experiment_claim_partition)
 
     return parser
-
-
-_EXPERIMENT_DEFAULT_N = {
-    "fig2-profile": 9,
-    "claim-partition": 4,
-}
-
-
-def _dispatch_experiment(args) -> int:
-    if args.n is None:
-        args.n = _EXPERIMENT_DEFAULT_N.get(args.name, 9)
-    return _EXPERIMENTS[args.name](args)
 
 
 # Every environment variable `build_parser` reads a default from.

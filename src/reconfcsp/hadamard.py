@@ -236,10 +236,6 @@ def bit_positions(bits: int, n: int) -> list[int]:
 class PartitionReport:
     """The four agreement classes of positions for a distinct triple."""
 
-    n: int
-    alpha: int
-    beta: int
-    gamma: int
     p_alpha: frozenset[int]
     p_beta: frozenset[int]
     p_gamma: frozenset[int]
@@ -258,7 +254,25 @@ def partition_triple(alpha: int, beta: int, gamma: int, n: int) -> PartitionRepo
     # of three bits, one differs from the other two or all three are equal
     classes = ((a ^ b) & (a ^ c), (b ^ a) & (b ^ c), (c ^ a) & (c ^ b), ~((a ^ b) | (a ^ c)))
     masked = (bits & ((1 << (1 << n)) - 1) for bits in classes)
-    return PartitionReport(n, alpha, beta, gamma, *(frozenset(bit_positions(m, n)) for m in masked))
+    return PartitionReport(*(frozenset(bit_positions(m, n)) for m in masked))
+
+
+# claim-partition reads all (2^n)^3 triples, 8x the work per step of n: 8 s at n = 6.
+CLAIM_PARTITION_MAX_N = 6
+
+
+def claim_partition(n: int) -> tuple[list[list], bool]:
+    """CSV rows (alpha, beta, gamma, four class sizes, P_alpha | P_beta == D) over every
+    distinct triple, and whether every class has size 2^(n-2) and every union is D."""
+    expected = (1 << (n - 2),) * 4
+    rows, ok = [], True
+    for alpha, beta, gamma in itertools.permutations(range(1 << n), 3):
+        report = partition_triple(alpha, beta, gamma, n)
+        sizes = report.sizes()
+        union_ok = report.p_alpha | report.p_beta == disagreement_set(alpha, beta, n)
+        ok = ok and sizes == expected and union_ok
+        rows.append([alpha, beta, gamma, *sizes, union_ok])
+    return rows, ok
 
 
 @dataclass(frozen=True)
@@ -416,6 +430,18 @@ def exhaust_flip_orders(alpha: int, beta: int, n: int, radius: Fraction = QUARTE
         yield order, find_close_step(CodewordPath(n, alpha, beta, order), radius)
 
 
+def n3_flip_orders() -> tuple[list[list], bool]:
+    """CSV rows (alpha, beta, order, close step, gamma, distance; empty when no third codeword
+    comes within 1/4) for every flip order at n = 3, and whether every order meets one."""
+    rows, all_hit = [], True
+    for alpha, beta in itertools.permutations(range(8), 2):
+        for order, hit in exhaust_flip_orders(alpha, beta, 3, QUARTER):
+            all_hit = all_hit and hit is not None
+            step, gamma, dist = hit if hit is not None else ("", "", "")
+            rows.append([alpha, beta, "-".join(map(str, order)), step, gamma, str(dist)])
+    return rows, all_hit
+
+
 # ---------------------------------------------------------------------------
 # Partial sums of a random +-1 sequence
 # ---------------------------------------------------------------------------
@@ -443,6 +469,10 @@ class PartialSumResult:
         return Fraction(self.hits, self.trials)
 
 
+# Largest N whose row of 2N entries fits one batch, which shuffles at most 2^22 entries.
+PARTIAL_SUM_MAX_N = 1 << 21
+
+
 def partial_sum_experiment(n: int, trials: int, seed: int) -> PartialSumResult:
     """Frequency of min prefix sum <= -ceil(0.99 N) over seeded shuffles of N +1s and N -1s."""
     if n < 1 or trials < 1:
@@ -451,7 +481,7 @@ def partial_sum_experiment(n: int, trials: int, seed: int) -> PartialSumResult:
     rng = np.random.default_rng(derive_seed(seed, "partial-sum", n, trials))
     base = np.concatenate([np.ones(n, dtype=np.int16), -np.ones(n, dtype=np.int16)])
     hits = 0
-    batch = max(1, (1 << 22) // (2 * n))
+    batch = max(1, PARTIAL_SUM_MAX_N // n)  # rows of 2N entries
     remaining = trials
     while remaining > 0:
         rows = min(batch, remaining)

@@ -293,6 +293,10 @@ def _edge_skeleton(kind: str, names: list[str], edge_count: int, rng) -> list[tu
     raise InstanceError(f"unknown instance kind {kind!r}")
 
 
+# Most tuples an unsatisfiable instance may draw: up to alphabet - 1 per edge.
+MAX_DRAWN_TUPLES = 1 << 20
+
+
 def generate_instance(
     kind: str,
     vertices: int,
@@ -328,6 +332,9 @@ def generate_instance(
         rng = stream(seed, "generate", kind, attempt)
         edges = _edge_skeleton(kind, names, edge_count, rng)
         if not satisfiable:
+            if len(edges) * (alphabet - 1) > MAX_DRAWN_TUPLES:
+                raise InstanceError(f"--alphabet {alphabet} on {len(edges)} edges may draw "
+                                    f"more than {MAX_DRAWN_TUPLES} tuples")
             accepts = []
             for _ in edges:
                 count = rng.randrange(1, max(2, alphabet))

@@ -50,6 +50,7 @@ def test_criterion_01_codeword_path_verification():
     length = 1 << n
     quarter = length // 4
     far = QUARTER + FARNESS_MARGIN
+    far_den, far_num_length = far.denominator, far.numerator * length
     table = codeword_table(n)
     for trial in range(trials):
         alpha = rng.randrange(length)
@@ -58,7 +59,8 @@ def test_criterion_01_codeword_path_verification():
             beta += 1
         path = generate_codeword_path(alpha, beta, n, seed=trial, max_retries=3)
         assert verify_codeword_path(path).ok
-        # independent exhaustive re-check with exact rational comparisons
+        # independent exhaustive re-check, exact in integers:
+        # d / length > p / q  <=>  d * q > p * length for positive integers
         a_bits, b_bits = table[alpha], table[beta]
         others = [table[g] for g in range(length) if g not in (alpha, beta)]
         assert len(others) == 510
@@ -66,7 +68,7 @@ def test_criterion_01_codeword_path_verification():
             bits = f.bits
             assert min((bits ^ a_bits).bit_count(), (bits ^ b_bits).bit_count()) <= quarter
             for cw in others:
-                assert Fraction((bits ^ cw).bit_count(), length) > far
+                assert (bits ^ cw).bit_count() * far_den > far_num_length
     report(1, f"{trials} seeded pairs at n={n}: verified, all steps quarter-close "
               "to an endpoint and strictly (1/4 + 1/400)-far from 510 codewords")
 

@@ -1,5 +1,13 @@
+import argparse
+import ast
+import hashlib
+import inspect
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -252,7 +260,7 @@ def test_malformed_sigma_and_system_files_exit_2(tmp_path, capsys, case):
     elif case in _WALKS:
         walk = tmp_path / "walk.json"
         walk.write_text(_WALKS[case])
-        argv = ["pipeline", "--instance", inst_path, "--mode", "micro", "--path", walk]
+        argv = ["pipeline", "--instance", inst_path, "--mode", "n9", "--path", walk]
     elif case.startswith("system-"):
         argv = ["verify-sequence", "--system", sys_dir, "--sigma", _sigma_file(tmp_path, {"steps": [good]})]
     else:
@@ -341,8 +349,6 @@ _ARITY_REDUCE_SHA256 = {
 
 
 def test_arity_reduce_artifacts_are_pinned(tmp_path):
-    import hashlib
-
     lean = tmp_path / "lean.json"
     assert run("generate", "--kind", "path-graph", "--vertices", 2, "--alphabet", 4,
                "--satisfiable", "--walk", 1, "--extra", 0, "--seed", 7, "--out", lean) == 0
@@ -384,17 +390,26 @@ def test_pipeline_n9(tmp_path, capsys):
     assert "all circuits satisfied at every step" in capsys.readouterr().out
 
 
+# SHA-256 of the experiment CSVs as written before the experiment loops moved
+# into `hadamard`; the bytes must not change.
+_OBS_N3_SHA256 = "2301275bd00fad921413298b5b80afef2651f6ec0e9d52e79f807b709d766d07"
+_CLAIM_PARTITION_N4_SHA256 = "7fff6f58848bfef741b6521d143052cb4613f6da12ca6de780b3609263bb4253"
+
+
 def test_experiment_obs_n3(tmp_path, capsys):
     csv_path = tmp_path / "obs.csv"
     assert run("experiment", "obs-n3", "--out", csv_path) == 0
     out = capsys.readouterr().out
     assert "every order hits a third codeword: True" in out
     assert len(csv_path.read_text().splitlines()) == 1 + 56 * 24
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == _OBS_N3_SHA256
 
 
-def test_experiment_claim_partition(capsys):
-    assert run("experiment", "claim-partition", "--n", 4) == 0
+def test_experiment_claim_partition(tmp_path, capsys):
+    csv_path = tmp_path / "partition.csv"
+    assert run("experiment", "claim-partition", "--n", 4, "--out", csv_path) == 0
     assert "all counts equal 4: True" in capsys.readouterr().out
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == _CLAIM_PARTITION_N4_SHA256
 
 
 def test_claim_partition_refuses_the_path_n_from_the_environment(capsys, monkeypatch):
@@ -496,3 +511,111 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     write_text_atomic(target, "payload")
     assert target.read_text() == "payload"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
+
+
+def _leaf_parsers(parser):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield parser
+    for action in subparsers:
+        for child in action.choices.values():
+            yield from _leaf_parsers(child)
+
+
+def _unread_flags(parser) -> list[str]:
+    """Flags of `parser` whose dest its handler never reads as `args.<dest>`."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(parser.get_default("func"))))
+    read = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+    }
+    return [a.dest for a in parser._actions if a.dest != "help" and a.dest not in read]
+
+
+def test_every_flag_is_read_by_its_handler():
+    leaves = list(_leaf_parsers(cli.build_parser()))
+    assert len(leaves) == 12
+    assert {p.prog: _unread_flags(p) for p in leaves} == {p.prog: [] for p in leaves}
+
+    def drops_seed(args):
+        return args.out
+
+    probe = argparse.ArgumentParser()
+    probe.add_argument("--out")
+    probe.add_argument("--seed")
+    probe.set_defaults(func=drops_seed)
+    assert _unread_flags(probe) == ["seed"]
+
+
+# Each probe names the flag its refusal must name.  OUT is every output path,
+# and nothing may be written to it.
+_REFUSED = {
+    "generate-budget-negative": ("--budget", {}, ["generate", "--kind", "cycle", "--vertices", 3,
+                                                  "--alphabet", 3, "--budget", -1, "--out", "OUT"]),
+    "solve-budget-negative": ("--budget", {}, ["solve", "--instance", "INST", "--budget", -5,
+                                               "--witness-out", "OUT"]),
+    "pipeline-budget-negative": ("--budget", {}, ["pipeline", "--instance", "INST", "--mode", "micro",
+                                                  "--budget", -1, "--report", "OUT"]),
+    "solve-threshold-negative": ("--threshold", {}, ["solve", "--instance", "INST", "--threshold", -1,
+                                                     "--witness-out", "OUT"]),
+    "budget-env-negative": ("--budget", {"RECONF_BUDGET": "-5"},
+                            ["solve", "--instance", "INST", "--witness-out", "OUT"]),
+    "generate-path-out-unsatisfiable": ("--path-out", {}, ["generate", "--kind", "cycle", "--vertices", 3,
+                                                           "--alphabet", 3, "--out", "OUT",
+                                                           "--path-out", "OUT"]),
+    "pipeline-micro-path": ("--path", {}, ["pipeline", "--instance", "INST", "--mode", "micro",
+                                           "--path", "WALK", "--report", "OUT", "--out", "OUT"]),
+    "pipeline-n9-out": ("--out", {}, ["pipeline", "--instance", "INST", "--mode", "n9",
+                                      "--path", "WALK", "--out", "OUT"]),
+    "obs-n3-n": ("--n", {}, ["experiment", "obs-n3", "--n", 5, "--out", "OUT"]),
+    "obs-n3-seed": ("--seed", {}, ["experiment", "obs-n3", "--seed", 1, "--out", "OUT"]),
+    "claim-partition-seed": ("--seed", {}, ["experiment", "claim-partition", "--seed", 1,
+                                            "--out", "OUT"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_unread_or_negative_flags_are_refused(tmp_path, capsys, monkeypatch, case):
+    flag, env, argv = _REFUSED[case]
+    from conftest import single_edge
+
+    inst = single_edge({(0, 0), (1, 1)}, 2, (0, 0), (1, 1))
+    files = {"INST": tmp_path / "inst.json", "WALK": tmp_path / "walk.json", "OUT": tmp_path / "out"}
+    write_text_atomic(files["INST"], core.serialize(inst))
+    files["WALK"].write_text('{"steps": [{"u": 0, "w": 0}, {"u": 1, "w": 0}, {"u": 1, "w": 1}]}')
+    for name, text in env.items():
+        monkeypatch.setenv(name, text)
+    try:
+        code = run(*(files.get(a, a) for a in argv))
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and flag in err and "Traceback" not in err, err
+    assert not files["OUT"].exists()
+
+
+# Runs `main` in a child that caps its own address space at 1 GiB, so a size
+# guard that is missing fails the test instead of exhausting the host.
+_LOW_MEMORY_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from reconfcsp.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--n", ["hadamard", "partial-sum", "--n", 100_000_000, "--trials", 1, "--out", "OUT"]),
+    ("--alphabet", ["generate", "--kind", "cycle", "--vertices", 3, "--alphabet", 1_000_000_000,
+                    "--out", "OUT"]),
+], ids=["partial-sum-n", "generate-alphabet"])
+def test_size_guards_refuse_before_allocating(tmp_path, flag, argv):
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", _LOW_MEMORY_MAIN, *(str(out) if a == "OUT" else str(a) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert child.returncode == 2 and flag in child.stderr and "Traceback" not in child.stderr, child.stderr
+    assert not out.exists()
