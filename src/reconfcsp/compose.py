@@ -16,6 +16,8 @@ per coordinate so endpoint moves never need a simultaneous two-sided change.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -367,6 +369,19 @@ def restrict_to_blocks(
 # ---------------------------------------------------------------------------
 
 
+def _pair_index(pl: tuple[tuple[int, int], ...], pair: tuple[int, int]) -> int:
+    """`pl.index(pair)` for the lexicographic list `pl` of one alphabet's unordered pairs.
+
+    Over alphabet w, the pairs (a', b') with a' < a number a*w - a*(a-1)/2, so
+    (a, b) with a <= b < w sits at that count plus b - a.
+    """
+    w = pl[-1][1] + 1
+    a, b = pair
+    if not 0 <= a <= b < w:
+        raise ValueError(f"{pair!r} is not in the pair list of alphabet {w}")
+    return a * w - a * (a - 1) // 2 + (b - a)
+
+
 @dataclass(frozen=True)
 class CellInfo:
     hyperedge: int
@@ -378,7 +393,7 @@ class CellInfo:
     def encode(self, pairs: Sequence[tuple[int, int]]) -> int:
         sym = 0
         for pl, pair in zip(reversed(self.pair_lists), reversed(list(pairs))):
-            sym = sym * len(pl) + pl.index(pair)
+            sym = sym * len(pl) + _pair_index(pl, pair)
         return sym
 
     def decode(self, sym: int) -> tuple[tuple[int, int], ...]:
@@ -448,6 +463,48 @@ def _cell_edge_codes(valid: np.ndarray, which: np.ndarray, low, high, size: int)
 _TABLE_COORDINATES = 1 << 20
 
 
+class _TypeMemo:
+    """Each hyperedge type's four binary accept sets, kept across `arity_reduce` calls.
+
+    A type is a hyperedge's repetition pattern, coordinate alphabets and
+    accepted codes, and the key holds all three.  An entry's size is its
+    key's code bytes plus its four sets' codes; least recently used entries
+    are evicted so that the bytes held stay at most `cap`, and an entry
+    larger than `cap` is not kept.  Lookups and inserts hold the lock, so
+    threads may reduce at once; enumeration runs outside it.
+    """
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self.held = 0
+        self._entries: OrderedDict[tuple, tuple[tuple[AcceptSet, ...], int]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> tuple[AcceptSet, ...] | None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: tuple, sets: tuple[AcceptSet, ...]) -> None:
+        size = len(key[2]) + sum(s.codes.nbytes for s in sets)
+        with self._lock:
+            if size > self.cap or key in self._entries:
+                return
+            self._entries[key] = (sets, size)
+            self.held += size
+            while self.held > self.cap:
+                _, (_, freed) = self._entries.popitem(last=False)
+                self.held -= freed
+
+
+# The whole process's memo.  The 69 types of the seed-1 micro-pipeline
+# benchmark pool hold about 10 MB.
+_TYPES = _TypeMemo(cap=16 << 20)
+
+
 def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityReduction:
     """Approximation-preserving reduction from 4-ary to binary constraints.
 
@@ -460,9 +517,10 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
     violated binary edge per violated hyperedge, four binary edges per
     hyperedge).
 
-    Valid cell values are enumerated once per distinct hyperedge (repetition
-    pattern, alphabets, accepted tuples) by `_valid_cell_symbols`, and
-    hyperedges alike share their four binary accept sets.  Cell alphabets
+    Valid cell values are enumerated by `_valid_cell_symbols` once per
+    distinct hyperedge type (repetition pattern, alphabets, accepted
+    tuples), and hyperedges alike share their four binary accept sets; the
+    sets of each type are kept for later calls in `_TYPES`.  Cell alphabets
     are summed up front: exceeding `cell_budget` fails fast before any
     enumeration, since materializing the binary accept sets at that size
     would thrash rather than finish.  A hyperedge whose coordinate-value
@@ -503,25 +561,30 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
                 f"hyperedge {cell.hyperedge}: coordinate space {coordinates} exceeds "
                 f"{_TABLE_COORDINATES}, too large for one boolean accept table"
             )
-    # ConstraintGraph reuses these shared, immutable sets unchecked.
-    edge_sets: dict[tuple, list[AcceptSet]] = {}
+    # ConstraintGraph reuses these shared, immutable sets unchecked.  Held
+    # per call too, so one call's hyperedges of a type share sets whatever
+    # `_TYPES` evicts meanwhile.
+    edge_sets: dict[tuple, tuple[AcceptSet, ...]] = {}
     grids: dict[tuple, np.ndarray] = {}  # per alphabets: pair index per coordinate and cell value
     for j, edge in enumerate(graph.edges):
         cell, acc = cells[j], graph.accepts[j]
         trace.vertex_origin[cell.name] = {"kind": "cell", "hyperedge": j}
         key = (tuple(edge.index(v) for v in edge), acc.sizes, acc.codes.tobytes())
-        if key not in edge_sets:
+        sets = edge_sets.get(key) or _TYPES.get(key)
+        if sets is None:
             pairs = [pairs_of[size][1:] for size in acc.sizes]
             if acc.sizes not in grids:
                 shape = [len(lo) for lo, _ in pairs[::-1]]
                 grids[acc.sizes] = np.indices(shape)[::-1].reshape(4, -1)
             distinct, ok = graph.vertex_table(j)
             valid, which = _valid_cell_symbols(cell, distinct, ok, pairs, grids[acc.sizes])
-            edge_sets[key] = [
+            sets = tuple(
                 AcceptSet.from_codes(_cell_edge_codes(valid, w, *lh, n), (cell.alphabet, n))
                 for w, lh, n in zip(which, pairs, acc.sizes)
-            ]
-        for i, (v, edge_set) in enumerate(zip(edge, edge_sets[key])):
+            )
+            _TYPES.put(key, sets)
+        edge_sets[key] = sets
+        for i, (v, edge_set) in enumerate(zip(edge, sets)):
             new_edges.append((cell.name, v))
             new_accepts.append(edge_set)
             trace.hyperedge_origin.append({"hyperedge": j, "coordinate": i})

@@ -293,8 +293,11 @@ def _edge_skeleton(kind: str, names: list[str], edge_count: int, rng) -> list[tu
     raise InstanceError(f"unknown instance kind {kind!r}")
 
 
-# Most tuples an unsatisfiable instance may draw: up to alphabet - 1 per edge.
+# Most walk entries or tuples a generated instance may draw.
 MAX_DRAWN_TUPLES = 1 << 20
+# Most vertices or edges it may have: 2^19 path-graph vertices do not fit in
+# 1 GiB of address space.
+MAX_GRAPH_SIZE = 1 << 18
 
 
 def generate_instance(
@@ -323,18 +326,30 @@ def generate_instance(
     for flag, (count, least) in counts.items():
         if count is not None and count < least:
             raise InstanceError(f"{flag} must be at least {least}, got {count}")
-    names = [f"v{i}" for i in range(vertices)]
     if edge_count is None:
         edge_count = vertices
     if walk_length is None:
         walk_length = 2 * vertices
+    edge_total = edge_count if kind == "random" else vertices - (kind == "path-graph")
+    drawn = {  # flag: (its value, what it sizes, how many, most allowed)
+        "--vertices": (vertices, "vertices", vertices, MAX_GRAPH_SIZE),
+        "--edges": (edge_count, "edges", edge_total, MAX_GRAPH_SIZE),
+    }
+    if satisfiable:  # each walk step is a dict over the vertices, read on every edge
+        steps = (walk_length + 1) * max(vertices, edge_total)
+        drawn["--walk"] = (walk_length, "walk entries", steps, MAX_DRAWN_TUPLES)
+        drawn["--extra"] = (extra_tuples, "extra tuples", edge_total * extra_tuples, MAX_DRAWN_TUPLES)
+    else:
+        drawn["--alphabet"] = (alphabet, "tuples at most", edge_total * (alphabet - 1), MAX_DRAWN_TUPLES)
+    for flag, (given, what, count, most) in drawn.items():
+        if count > most:
+            raise InstanceError(f"{flag} {given}: the {kind} instance would hold {count} "
+                                f"{what}, more than {most}")
+    names = [f"v{i}" for i in range(vertices)]
     for attempt in range(20):  # fresh seeded skeletons before giving up
         rng = stream(seed, "generate", kind, attempt)
         edges = _edge_skeleton(kind, names, edge_count, rng)
         if not satisfiable:
-            if len(edges) * (alphabet - 1) > MAX_DRAWN_TUPLES:
-                raise InstanceError(f"--alphabet {alphabet} on {len(edges)} edges may draw "
-                                    f"more than {MAX_DRAWN_TUPLES} tuples")
             accepts = []
             for _ in edges:
                 count = rng.randrange(1, max(2, alphabet))

@@ -619,3 +619,18 @@ def test_size_guards_refuse_before_allocating(tmp_path, flag, argv):
     )
     assert child.returncode == 2 and flag in child.stderr and "Traceback" not in child.stderr, child.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--edges", ["--kind", "random", "--vertices", 3, "--alphabet", 2, "--edges", 100_000_000]),
+    ("--vertices", ["--kind", "cycle", "--vertices", 100_000_000, "--alphabet", 2]),
+    ("--walk", ["--kind", "path-graph", "--vertices", 3, "--alphabet", 4, "--satisfiable",
+                "--walk", 100_000_000]),
+    ("--walk", ["--kind", "path-graph", "--vertices", 100_000, "--alphabet", 4, "--satisfiable"]),
+    ("--extra", ["--kind", "random", "--vertices", 2, "--edges", 4, "--alphabet", 100_000,
+                 "--satisfiable", "--walk", 1, "--extra", 100_000_000]),
+], ids=["edges", "vertices", "walk", "default-walk", "extra"])
+def test_generate_bounds_every_size_before_allocating(tmp_path, flag, argv):
+    """Vertex names, edges, walk steps and extra tuples are each bounded before
+    any is built; unbounded, each of these ends in a MemoryError under the cap."""
+    test_size_guards_refuse_before_allocating(tmp_path, flag, ["generate", *argv, "--out", "OUT"])

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -26,12 +27,13 @@ from reconfcsp.core import (
     ReconfInstance,
     ReconfigSequence,
     sequence_value,
+    serialize,
     validate_sequence,
     value,
 )
 from reconfcsp.hadamard import had_encode
 from reconfcsp.robustize import circuit_bits, materialize_micro_csp, robustize, single_bit_change
-from reconfcsp import solver
+from reconfcsp import compose, solver
 
 from conftest import single_edge
 
@@ -403,12 +405,18 @@ def test_arity_reduce_hyperedges_sharing_codes_match_brute_force():
         assert binary.accepts[i] is not binary.accepts[4 + i]
 
 
+def _empty_types(monkeypatch):
+    """An empty arity-reduction memo in place of the process's own, put back after the test."""
+    monkeypatch.setattr(compose, "_TYPES", compose._TypeMemo(compose._TYPES.cap))
+
+
 def test_valid_cell_symbols_ascend_with_decoded_pair_indices(monkeypatch):
     """Over all 15 repetition patterns and mixed alphabets, the flat enumeration
     lists exactly the valid cell values, strictly increasing, and each
     coordinate's pair index at a value is the one `CellInfo.decode` reads."""
     from reconfcsp import compose
 
+    _empty_types(monkeypatch)  # a remembered type would not reach the spy
     seen = []
     enumerate_cells = compose._valid_cell_symbols
 
@@ -441,6 +449,132 @@ def test_valid_cell_symbols_ascend_with_decoded_pair_indices(monkeypatch):
     # not only singleton cells: many valid values hold a pair of two values
     assert sum(any(a != b for a, b in cell.decode(sym))
                for cell, valid, _ in seen for sym in valid.tolist()) > 100
+
+
+def _count_enumerations(monkeypatch) -> list:
+    """Patch `_valid_cell_symbols` to record each call; returns the record."""
+    calls = []
+    enumerate_cells = compose._valid_cell_symbols
+
+    def spy(*args):
+        calls.append(args[0])
+        return enumerate_cells(*args)
+
+    monkeypatch.setattr(compose, "_valid_cell_symbols", spy)
+    return calls
+
+
+def _composed(seed, vertices=2, alphabet=4, walk=1):
+    inst, _ = solver.generate_instance(
+        "path-graph", vertices, alphabet, seed, satisfiable=True, walk_length=walk, extra_tuples=0
+    )
+    return compose_system(robustize(inst)).instance
+
+
+def _binary_text(inst) -> str:
+    return serialize(arity_reduce(inst).instance)
+
+
+def test_pair_index_is_the_position_in_the_pair_list():
+    for w in range(1, 17):
+        pl = tuple((a, b) for a in range(w) for b in range(a, w))
+        for pair in itertools.product(range(-1, w + 1), repeat=2):
+            if pair in pl:
+                assert compose._pair_index(pl, pair) == pl.index(pair), (w, pair)
+            else:
+                with pytest.raises(ValueError):
+                    compose._pair_index(pl, pair)
+
+
+def test_reducing_twice_enumerates_once_and_writes_the_same_bytes(monkeypatch):
+    _empty_types(monkeypatch)
+    calls = _count_enumerations(monkeypatch)
+    inst = _composed(5, vertices=3, walk=0)
+    first = _binary_text(inst)
+    enumerated = len(calls)
+    assert 0 < enumerated < len(inst.graph.edges)
+    assert _binary_text(inst) == first
+    assert len(calls) == enumerated  # every type came from the memo
+    with pytest.raises(InstanceError, match="exceeding the budget"):
+        arity_reduce(inst, cell_budget=len(inst.graph.edges))
+
+
+def test_lean_seed7_reduction_after_unrelated_instances_equals_a_fresh_one(monkeypatch):
+    seven = _composed(7)
+    _empty_types(monkeypatch)
+    fresh = _binary_text(seven)
+    _empty_types(monkeypatch)
+    for other in (_composed(3), _composed(2, alphabet=3), _composed(5, vertices=3, walk=0),
+                  _four_ary(CHAIN, (0, 0, 0, 0), (1, 1, 1, 1))):
+        arity_reduce(other)
+    assert _binary_text(seven) == fresh
+
+
+def _typed_instances():
+    """One 4-ary instance per repetition pattern, each of a type of its own."""
+    rng = random.Random(30)
+    space = list(itertools.product(range(3), repeat=4))
+    out = []
+    for edge in REPETITION_PATTERNS:
+        accepts = set(rng.sample(space, 20))
+        start = min(accepts)
+        out.append(_four_ary(accepts, start, start, vertices=tuple(dict.fromkeys(edge)),
+                             alphabet=3, edge=edge))
+    return out
+
+
+def test_type_memo_holds_at_most_its_cap(monkeypatch):
+    instances = _typed_instances()
+    roomy = compose._TypeMemo(1 << 30)
+    monkeypatch.setattr(compose, "_TYPES", roomy)
+    expected = [_binary_text(inst) for inst in instances]
+    sizes = [size for _, size in roomy._entries.values()]
+    assert len(sizes) == len(instances) and roomy.held == sum(sizes)
+
+    def use(memo, *indices):
+        """Reduce instances through `memo`; the indices whose types were enumerated."""
+        monkeypatch.setattr(compose, "_TYPES", memo)
+        calls = _count_enumerations(monkeypatch)
+        for i in indices:
+            assert _binary_text(instances[i]) == expected[i]
+            assert memo.held == sum(size for _, size in memo._entries.values()) <= memo.cap
+            if calls:
+                assert calls.pop().vertices == instances[i].graph.edges[0]
+                yield i
+
+    small = compose._TypeMemo(sum(sizes[:3]))
+    assert list(use(small, 0, 1, 2, 0)) == [0, 1, 2]
+    assert list(use(small, 3, 0)) == [3]  # 3 evicts 1, the least recently used, first
+    assert list(use(small, 1)) == [1]
+    assert list(use(small, *range(4, len(instances)))) == list(range(4, len(instances)))
+
+    assert min(sizes) < max(sizes)
+    tight = compose._TypeMemo(max(sizes) - 1)
+    smallest, largest = sizes.index(min(sizes)), sizes.index(max(sizes))
+    assert list(use(tight, smallest, largest, smallest, largest)) == [smallest, largest, largest]
+    assert len(tight._entries) == 1  # the entry over the cap was not kept, and evicted nothing
+
+
+def test_concurrent_reductions_match_sequential_ones(monkeypatch):
+    instances = [_composed(2, alphabet=3), _composed(5, vertices=3, walk=0)]
+    expected = []
+    for inst in instances:
+        _empty_types(monkeypatch)
+        expected.append(_binary_text(inst))
+    for _ in range(3):
+        _empty_types(monkeypatch)
+        start, results = threading.Barrier(len(instances)), [None] * len(instances)
+
+        def reduce(i):
+            start.wait()
+            results[i] = _binary_text(instances[i])
+
+        threads = [threading.Thread(target=reduce, args=(i,)) for i in range(len(instances))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert results == expected
 
 
 def test_superimpose_keeps_one_accept_set_per_distinct_table():
