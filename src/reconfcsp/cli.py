@@ -50,8 +50,14 @@ def write_csv_atomic(path: str | Path, header: list[str], rows: list[list], comm
 
 
 def _cmd_generate(args) -> int:
+    if args.edges is not None and args.kind != "random":
+        raise InstanceError(f"--edges applies to --kind random only: --vertices fixes a {args.kind}'s edges")
     if args.path_out and not args.satisfiable:
         raise InstanceError("--path-out needs --satisfiable: only a satisfiable instance has a walk")
+    if args.walk is not None and not args.satisfiable:
+        raise InstanceError("--walk needs --satisfiable: only a satisfiable instance has a walk")
+    if args.extra is not None and not args.satisfiable:
+        raise InstanceError("--extra needs --satisfiable: extra tuples are drawn around the walk")
     print(f"seed: {args.seed}")
     instance, walk = generate_instance(
         kind=args.kind,
@@ -61,7 +67,7 @@ def _cmd_generate(args) -> int:
         satisfiable=args.satisfiable,
         edge_count=args.edges,
         walk_length=args.walk,
-        extra_tuples=args.extra,
+        extra_tuples=2 if args.extra is None else args.extra,
         budget=args.budget,
     )
     write_text_atomic(args.out, core.serialize(instance))
@@ -353,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--edges", type=int, default=None, help="edge count (random kind)")
     gen.add_argument("--walk", type=int, default=None, help="walk length for --satisfiable")
     gen.add_argument(
-        "--extra", type=int, default=2,
-        help="extra random accepted tuples per edge for --satisfiable",
+        "--extra", type=int, default=None,
+        help="extra random accepted tuples per edge for --satisfiable (default 2)",
     )
     gen.add_argument("--satisfiable", action="store_true")
     gen.add_argument("--out", required=True)

@@ -21,6 +21,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -176,16 +177,23 @@ def superimpose(
     tables1, tables2 = ([g.vertex_table(j)[1] for j in range(len(g.edges))] for g in (g1, g2))
     if any(table.ndim != 2 for table in tables1 + tables2):
         raise InstanceError("twin edges must join two distinct vertices")
-    edges, accepts, pairs, shared = [], [], [], {}
-    for i1, e1 in enumerate(g1.edges):
-        for i2, e2 in enumerate(g2.edges):
-            edges.append((e1[0], e1[1], e2[0], e2[1]))
-            table = tables1[i1][:, :, None, None] | tables2[i2]
-            key = (table.shape, table.tobytes())
-            if key not in shared:
-                shared[key] = AcceptSet.from_table(table)
-            accepts.append(shared[key])
-            pairs.append((i1, i2))
+    # every pair's OR-table in one broadcast per pair of table shapes; rows
+    # are keyed by shape and packed bits, so equal tables share one set
+    sets, shared = {}, {}
+    for rows1, stack1 in _stacks(tables1):
+        for rows2, stack2 in _stacks(tables2):
+            both = stack1[:, None, :, :, None, None] | stack2[None, :, None, None, :, :]
+            flat = both.reshape(len(rows1) * len(rows2), -1)
+            packed = np.packbits(flat, axis=1)
+            data, width, shape = packed.tobytes(), packed.shape[1], both.shape[2:]
+            for k, (i1, i2) in enumerate(product(rows1, rows2)):
+                key = (shape, data[k * width : (k + 1) * width])
+                if key not in shared:
+                    shared[key] = AcceptSet.from_table(flat[k].reshape(shape))
+                sets[i1, i2] = shared[key]
+    pairs = list(product(range(len(g1.edges)), range(len(g2.edges))))
+    edges = [(*g1.edges[i1], *g2.edges[i2]) for i1, i2 in pairs]
+    accepts = list(map(sets.__getitem__, pairs))
     graph = ConstraintGraph(
         q=4,
         vertices=vertices,
@@ -195,6 +203,14 @@ def superimpose(
         vertex_alphabets=overrides,
     )
     return SuperimposedGraph(graph, tuple(pairs))
+
+
+def _stacks(tables: list[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
+    """The tables grouped by shape: each group's indices and its tables stacked."""
+    groups: dict[tuple, list[int]] = {}
+    for j, table in enumerate(tables):
+        groups.setdefault(table.shape, []).append(j)
+    return [(rows, np.stack([tables[j] for j in rows])) for rows in groups.values()]
 
 
 def pad_edge_groups(groups: list[list], mark=lambda item: item) -> list[list]:
@@ -369,16 +385,16 @@ def restrict_to_blocks(
 # ---------------------------------------------------------------------------
 
 
-def _pair_index(pl: tuple[tuple[int, int], ...], pair: tuple[int, int]) -> int:
-    """`pl.index(pair)` for the lexicographic list `pl` of one alphabet's unordered pairs.
+def _pair_index(w, a, b):
+    """Position of the pair (a, b) in the lexicographic list of alphabet w's unordered pairs.
 
     Over alphabet w, the pairs (a', b') with a' < a number a*w - a*(a-1)/2, so
-    (a, b) with a <= b < w sits at that count plus b - a.
+    (a, b) with a <= b < w sits at that count plus b - a.  Integers or
+    equal-shaped integer arrays, elementwise.
     """
-    w = pl[-1][1] + 1
-    a, b = pair
-    if not 0 <= a <= b < w:
-        raise ValueError(f"{pair!r} is not in the pair list of alphabet {w}")
+    ok = (0 <= a) & (a <= b) & (b < w)
+    if ok is not True and not np.all(ok):  # integers give a bool: no numpy call for them
+        raise ValueError(f"{(a, b)!r} is not in the pair list of alphabet {w}")
     return a * w - a * (a - 1) // 2 + (b - a)
 
 
@@ -392,8 +408,8 @@ class CellInfo:
 
     def encode(self, pairs: Sequence[tuple[int, int]]) -> int:
         sym = 0
-        for pl, pair in zip(reversed(self.pair_lists), reversed(list(pairs))):
-            sym = sym * len(pl) + _pair_index(pl, pair)
+        for pl, (a, b) in zip(reversed(self.pair_lists), reversed(list(pairs))):
+            sym = sym * len(pl) + _pair_index(pl[-1][1] + 1, a, b)
         return sym
 
     def decode(self, sym: int) -> tuple[tuple[int, int], ...]:
@@ -521,87 +537,110 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
     distinct hyperedge type (repetition pattern, alphabets, accepted
     tuples), and hyperedges alike share their four binary accept sets; the
     sets of each type are kept for later calls in `_TYPES`.  Cell alphabets
-    are summed up front: exceeding `cell_budget` fails fast before any
-    enumeration, since materializing the binary accept sets at that size
-    would thrash rather than finish.  A hyperedge whose coordinate-value
+    are summed up front from the alphabet sizes: exceeding `cell_budget`
+    fails fast before any pair list is built or any cell enumerated, since
+    materializing the binary accept sets at that size would thrash rather
+    than finish.  A hyperedge whose coordinate-value
     space exceeds 2^20, the largest boolean accept table built, fails the
     same way.
     """
     graph = inst4.graph
     if graph.q != 4:
         raise InstanceError(f"arity must be exactly 4, got {graph.q}")
-    existing, cells, new_edges, new_accepts = set(graph.vertices), [], [], []
-    overrides = dict(graph.vertex_alphabets)
-    trace = ReductionTrace(stage="arity-reduce", notes={"soundness_loss_factor": 4})
-    trace.vertex_origin.update({v: {"kind": "source-vertex", "vertex": v} for v in graph.vertices})
+    # per coordinate alphabets: the cell alphabet, counted before any pair list is built
+    cell_alphabet = {
+        sizes: math.prod(w * (w + 1) // 2 for w in sizes)
+        for sizes in dict.fromkeys(acc.sizes for acc in graph.accepts)
+    }
+    alphabets = [cell_alphabet[acc.sizes] for acc in graph.accepts]
+    if sum(alphabets) > cell_budget:
+        worst = max(range(len(alphabets)), key=alphabets.__getitem__)
+        raise InstanceError(
+            f"cell alphabets total {sum(alphabets)} (largest {alphabets[worst]} at "
+            f"hyperedge {worst}), exceeding the budget {cell_budget}; "
+            "constraints this rich are out of materialization range"
+        )
+    wide = {sizes for sizes in cell_alphabet if math.prod(sizes) > _TABLE_COORDINATES}
+    if wide:
+        j = next(j for j, acc in enumerate(graph.accepts) if acc.sizes in wide)
+        raise InstanceError(
+            f"hyperedge {j}: coordinate space {math.prod(graph.accepts[j].sizes)} exceeds "
+            f"{_TABLE_COORDINATES}, too large for one boolean accept table"
+        )
     # per alphabet w: its w(w+1)/2 unordered value pairs, lexicographic, then their lows and highs
     pairs_of: dict[int, tuple] = {}
+    for w in {w for sizes in cell_alphabet for w in sizes}:
+        pl = tuple((a, b) for a in range(w) for b in range(a, w))
+        pairs_of[w] = (pl, *np.array(pl, dtype=np.int64).T)
+    shapes = {  # per coordinate alphabets: CellInfo's pair lists and alphabet
+        sizes: (tuple(pairs_of[w][0] for w in sizes), alphabet)
+        for sizes, alphabet in cell_alphabet.items()
+    }
+    existing, cells = set(graph.vertices), []
     for j, (edge, acc) in enumerate(zip(graph.edges, graph.accepts)):
         name = f"cell{j}"
         while name in existing:
             name += "'"
         existing.add(name)
-        for w in set(acc.sizes) - pairs_of.keys():
-            pl = tuple((a, b) for a in range(w) for b in range(a, w))
-            pairs_of[w] = (pl, *np.array(pl, dtype=np.int64).T)
-        pls = tuple(pairs_of[w][0] for w in acc.sizes)
-        cells.append(CellInfo(j, name, tuple(edge), pls, math.prod(map(len, pls))))
-    total_cells = sum(c.alphabet for c in cells)
-    if total_cells > cell_budget:
-        worst = max(cells, key=lambda c: c.alphabet)
-        raise InstanceError(
-            f"cell alphabets total {total_cells} (largest {worst.alphabet} at "
-            f"hyperedge {worst.hyperedge}), exceeding the budget {cell_budget}; "
-            "constraints this rich are out of materialization range"
-        )
-    for cell in cells:
-        coordinates = math.prod(graph.accepts[cell.hyperedge].sizes)
-        if coordinates > _TABLE_COORDINATES:
-            raise InstanceError(
-                f"hyperedge {cell.hyperedge}: coordinate space {coordinates} exceeds "
-                f"{_TABLE_COORDINATES}, too large for one boolean accept table"
-            )
+        cells.append(CellInfo(j, name, tuple(edge), *shapes[acc.sizes]))
     # ConstraintGraph reuses these shared, immutable sets unchecked.  Held
     # per call too, so one call's hyperedges of a type share sets whatever
     # `_TYPES` evicts meanwhile.
     edge_sets: dict[tuple, tuple[AcceptSet, ...]] = {}
+    # the same by (pattern, id of the set), looked up first: it needs no code bytes
+    object_sets: dict[tuple, tuple[AcceptSet, ...]] = {}
     grids: dict[tuple, np.ndarray] = {}  # per alphabets: pair index per coordinate and cell value
-    for j, edge in enumerate(graph.edges):
-        cell, acc = cells[j], graph.accepts[j]
-        trace.vertex_origin[cell.name] = {"kind": "cell", "hyperedge": j}
-        key = (tuple(edge.index(v) for v in edge), acc.sizes, acc.codes.tobytes())
-        sets = edge_sets.get(key) or _TYPES.get(key)
+    new_accepts = []
+    for j, (edge, acc) in enumerate(zip(graph.edges, graph.accepts)):
+        pattern = tuple(map(edge.index, edge))
+        sets = object_sets.get((pattern, id(acc)))
         if sets is None:
-            pairs = [pairs_of[size][1:] for size in acc.sizes]
-            if acc.sizes not in grids:
-                shape = [len(lo) for lo, _ in pairs[::-1]]
-                grids[acc.sizes] = np.indices(shape)[::-1].reshape(4, -1)
-            distinct, ok = graph.vertex_table(j)
-            valid, which = _valid_cell_symbols(cell, distinct, ok, pairs, grids[acc.sizes])
-            sets = tuple(
-                AcceptSet.from_codes(_cell_edge_codes(valid, w, *lh, n), (cell.alphabet, n))
-                for w, lh, n in zip(which, pairs, acc.sizes)
-            )
-            _TYPES.put(key, sets)
-        edge_sets[key] = sets
-        for i, (v, edge_set) in enumerate(zip(edge, sets)):
-            new_edges.append((cell.name, v))
-            new_accepts.append(edge_set)
-            trace.hyperedge_origin.append({"hyperedge": j, "coordinate": i})
+            key = (pattern, acc.sizes, acc.codes.tobytes())
+            sets = edge_sets.get(key) or _TYPES.get(key)
+            if sets is None:
+                cell, pairs = cells[j], [pairs_of[size][1:] for size in acc.sizes]
+                if acc.sizes not in grids:
+                    shape = [len(lo) for lo, _ in pairs[::-1]]
+                    grids[acc.sizes] = np.indices(shape)[::-1].reshape(4, -1)
+                distinct, ok = graph.vertex_table(j)
+                valid, which = _valid_cell_symbols(cell, distinct, ok, pairs, grids[acc.sizes])
+                sets = tuple(
+                    AcceptSet.from_codes(_cell_edge_codes(valid, w, *lh, n), (cell.alphabet, n))
+                    for w, lh, n in zip(which, pairs, acc.sizes)
+                )
+                _TYPES.put(key, sets)
+            edge_sets[key] = object_sets[pattern, id(acc)] = sets
+        new_accepts += sets
+    trace = ReductionTrace(stage="arity-reduce", notes={"soundness_loss_factor": 4})
+    trace.vertex_origin.update({v: {"kind": "source-vertex", "vertex": v} for v in graph.vertices})
+    trace.vertex_origin.update({c.name: {"kind": "cell", "hyperedge": c.hyperedge} for c in cells})
+    trace.hyperedge_origin = [
+        {"hyperedge": j, "coordinate": i} for j in range(len(cells)) for i in range(4)
+    ]
+    overrides = dict(graph.vertex_alphabets)
     overrides.update((cell.name, cell.alphabet) for cell in cells)
     binary_graph = ConstraintGraph(
         q=2,
         vertices=graph.vertices + tuple(c.name for c in cells),
-        edges=tuple(new_edges),
+        edges=tuple((c.name, v) for c in cells for v in c.vertices),
         alphabet=graph.alphabet,
         accepts=tuple(new_accepts),
         vertex_alphabets=overrides,
     )
 
+    # CellInfo.singleton of every cell at once: coordinate i holds the pair (s, s)
+    # of its vertex's symbol s, at place value Π pair counts of coordinates < i
+    occurrences = list(chain.from_iterable(graph.edges))
+    sizes = np.array([acc.sizes for acc in graph.accepts], dtype=np.int64).reshape(-1, 4)
+    place = np.ones_like(sizes)
+    place[:, 1:] = np.cumprod(sizes[:, :-1] * (sizes[:, :-1] + 1) // 2, axis=1)
+    names = [cell.name for cell in cells]
+
     def endpoint(psi: Assignment) -> Assignment:
+        symbols = np.fromiter(map(psi.values.__getitem__, occurrences), np.int64, len(occurrences))
+        symbols = symbols.reshape(sizes.shape)
         values = dict(psi.values)
-        for cell in cells:
-            values[cell.name] = cell.singleton([psi.values[v] for v in cell.vertices])
+        values.update(zip(names, (_pair_index(sizes, symbols, symbols) * place).sum(axis=1).tolist()))
         return Assignment(values)
 
     instance = ReconfInstance(binary_graph, endpoint(inst4.psi_ini), endpoint(inst4.psi_tar))

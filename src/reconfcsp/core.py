@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -52,7 +53,7 @@ class AcceptSet:
     is re-encoded and range-checked tuple by tuple, never reinterpreted.
     """
 
-    __slots__ = ("_sizes", "_codes")
+    __slots__ = ("_sizes", "_codes", "_view")
 
     def __new__(cls, tuples: Iterable[Sequence[int]], sizes: Sequence[int]) -> "AcceptSet":
         sizes = tuple(sizes)
@@ -94,6 +95,9 @@ class AcceptSet:
     def __len__(self) -> int:
         return len(self._codes)
 
+    def __reduce__(self):
+        return AcceptSet.from_codes, (self._codes, self._sizes)
+
     def __contains__(self, tup) -> bool:
         return len(tup) == len(self._sizes) and self._accepts(tup)
 
@@ -104,8 +108,9 @@ class AcceptSet:
             if not 0 <= sym < size:
                 return False
             code = code * size + sym
-        at = self._codes.searchsorted(code)
-        return bool(at < len(self._codes) and self._codes[at] == code)
+        view = self._view
+        at = bisect_left(view, code)
+        return at < len(view) and view[at] == code
 
     def _rows(self) -> np.ndarray:
         """The tuples as a (count, q) int64 array, in lexicographic order."""
@@ -133,8 +138,9 @@ class AcceptSet:
 
 def _make(sizes: tuple[int, ...], codes: np.ndarray) -> AcceptSet:
     acc = object.__new__(AcceptSet)
-    acc._sizes, acc._codes = sizes, codes
     codes.flags.writeable = False
+    # a memoryview's items are Python ints, so `_accepts` bisects without numpy scalars
+    acc._sizes, acc._codes, acc._view = sizes, codes, memoryview(codes)
     return acc
 
 
@@ -296,31 +302,35 @@ class ConstraintGraph:
             raise InstanceError("arity must be positive")
         if self.alphabet < 1:
             raise InstanceError("alphabet size must be positive")
-        if len(set(self.vertices)) != len(self.vertices):
+        alpha = dict.fromkeys(self.vertices, self.alphabet)  # each vertex's alphabet
+        if len(alpha) != len(self.vertices):
             raise InstanceError("duplicate vertex id")
         if len(self.accepts) != len(self.edges):
             raise InstanceError("accepts/edges length mismatch")
-        known = set(self.vertices)
         for name, size in self.vertex_alphabets.items():
-            if name not in known:
+            if name not in alpha:
                 raise InstanceError(f"alphabet override for unknown vertex id {name!r}")
             if size < 1:
                 raise InstanceError(f"alphabet override for {name!r} must be positive")
+        alpha.update(self.vertex_alphabets)
         packed, shared = [], {}
-        for i, edge in enumerate(self.edges):
+        for i, (edge, accepts) in enumerate(zip(self.edges, self.accepts)):
             if len(edge) != self.q:
                 raise InstanceError(f"edges[{i}]: arity mismatch (got {len(edge)}, declared {self.q})")
-            for v in edge:
-                if v not in known:
-                    raise InstanceError(f"edges[{i}]: unknown vertex id {v!r}")
-            sizes = tuple([self.alphabet_of(v) for v in edge])
-            key = (id(self.accepts[i]), sizes)
-            if key not in shared:
-                try:
-                    shared[key] = _pack(self.accepts[i], sizes, edge)
-                except InstanceError as exc:
-                    raise InstanceError(f"edges[{i}].{exc}") from None
-            packed.append(shared[key])
+            try:
+                sizes = tuple(map(alpha.__getitem__, edge))
+            except KeyError:
+                v = next(v for v in edge if v not in alpha)
+                raise InstanceError(f"edges[{i}]: unknown vertex id {v!r}") from None
+            if type(accepts) is not AcceptSet or accepts._sizes != sizes:
+                key = (id(accepts), sizes)
+                if key not in shared:
+                    try:
+                        shared[key] = _pack(accepts, sizes, edge)
+                    except InstanceError as exc:
+                        raise InstanceError(f"edges[{i}].{exc}") from None
+                accepts = shared[key]
+            packed.append(accepts)
         object.__setattr__(self, "accepts", tuple(packed))
 
     def alphabet_of(self, vertex: str) -> int:

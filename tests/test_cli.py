@@ -64,13 +64,12 @@ def test_generate_rejects_bad_counts(tmp_path, capsys, flag, bad, least):
 
 
 def test_generate_kinds(tmp_path):
-    for kind, edges in [("cycle", 4), ("random", 5)]:
+    for kind, flags, edges in [("cycle", [], 4), ("random", ["--edges", 5], 5)]:
         out = tmp_path / f"{kind}.json"
         assert run("generate", "--kind", kind, "--vertices", 4, "--alphabet", 3,
-                   "--edges", 5, "--seed", 2, "--out", out) == 0
+                   *flags, "--seed", 2, "--out", out) == 0
         inst = core.deserialize(out.read_text())
-        if kind == "cycle":
-            assert len(inst.graph.edges) == 4
+        assert len(inst.graph.edges) == edges
 
 
 def test_solve_triangle(tmp_path, capsys):
@@ -560,6 +559,15 @@ _REFUSED = {
                                                      "--witness-out", "OUT"]),
     "budget-env-negative": ("--budget", {"RECONF_BUDGET": "-5"},
                             ["solve", "--instance", "INST", "--witness-out", "OUT"]),
+    "generate-cycle-edges": ("--edges", {}, ["generate", "--kind", "cycle", "--vertices", 3,
+                                             "--alphabet", 2, "--edges", 50, "--out", "OUT"]),
+    "generate-path-graph-edges": ("--edges", {}, ["generate", "--kind", "path-graph", "--vertices", 3,
+                                                  "--alphabet", 2, "--satisfiable", "--edges", 2,
+                                                  "--out", "OUT"]),
+    "generate-walk-unsatisfiable": ("--walk", {}, ["generate", "--kind", "random", "--vertices", 3,
+                                                   "--alphabet", 2, "--walk", 1, "--out", "OUT"]),
+    "generate-extra-unsatisfiable": ("--extra", {}, ["generate", "--kind", "cycle", "--vertices", 3,
+                                                     "--alphabet", 2, "--extra", 0, "--out", "OUT"]),
     "generate-path-out-unsatisfiable": ("--path-out", {}, ["generate", "--kind", "cycle", "--vertices", 3,
                                                            "--alphabet", 3, "--out", "OUT",
                                                            "--path-out", "OUT"]),

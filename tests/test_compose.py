@@ -1,9 +1,14 @@
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +31,7 @@ from reconfcsp.core import (
     InstanceError,
     ReconfInstance,
     ReconfigSequence,
+    deserialize,
     sequence_value,
     serialize,
     validate_sequence,
@@ -141,6 +147,45 @@ def test_superimpose_input_validation():
     looped = ConstraintGraph(2, g.vertices, (("y2", "y2"),), 2, ({(0, 0)},), g.vertex_alphabets)
     with pytest.raises(InstanceError, match="two distinct vertices"):
         superimpose(t1, dataclasses.replace(t2, graph=looped))
+
+
+@st.composite
+def twin_pairs(draw):
+    """Two testers over the same inputs, the second possibly with extra input-to-input edges."""
+    m = draw(st.integers(1, 4))
+    x = [f"x{i}" for i in range(m)]
+    sats = st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=5)
+    t1, t2 = reference_tester(draw(sats), x, "y1"), reference_tester(draw(sats), x, "y2")
+    if m > 1 and draw(st.booleans()):  # tables of two shapes in one twin
+        g = t2.graph
+        pairs = st.sets(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=4)
+        extra = draw(st.lists(st.tuples(st.sampled_from(x[:1]), pairs), min_size=1, max_size=3))
+        graph = ConstraintGraph(
+            2, g.vertices, g.edges + tuple((v, x[1]) for v, _ in extra), 2,
+            g.accepts + tuple(frozenset(acc) for _, acc in extra), g.vertex_alphabets,
+        )
+        t2 = dataclasses.replace(t2, graph=graph)
+    return t1, t2
+
+
+@settings(max_examples=60, deadline=None)
+@given(twin_pairs())
+def test_superimpose_is_the_or_of_each_pair_of_twin_tables(twins):
+    t1, t2 = twins
+    sup = superimpose(t1, t2)
+    pairs = list(itertools.product(range(len(t1.graph.edges)), range(len(t2.graph.edges))))
+    assert list(sup.hyperedge_pairs) == pairs
+    first_holder = {}
+    for h, (i1, i2) in enumerate(pairs):
+        e1, e2 = t1.graph.edges[i1], t2.graph.edges[i2]
+        table = t1.graph.vertex_table(i1)[1][:, :, None, None] | t2.graph.vertex_table(i2)[1]
+        acc = sup.graph.accepts[h]
+        assert sup.graph.edges[h] == e1 + e2
+        assert acc == AcceptSet.from_table(table) and acc.sizes == table.shape
+        # hyperedges with equal tables hold one object, and no others share it
+        holder = first_holder.setdefault((table.shape, table.tobytes()), acc)
+        assert acc is holder
+    assert len({id(acc) for acc in sup.graph.accepts}) == len(first_holder)
 
 
 def test_pad_edge_groups_round_robin():
@@ -405,6 +450,51 @@ def test_arity_reduce_hyperedges_sharing_codes_match_brute_force():
         assert binary.accepts[i] is not binary.accepts[4 + i]
 
 
+def test_arity_endpoints_are_each_cells_singleton_and_types_keep_their_pattern():
+    """One set object under two repetition patterns, over mixed alphabets, with
+    endpoints that differ; and a composed instance whose y alphabets differ from x's."""
+    verts = ("p", "q", "r", "s")
+    alphabets = {"q": 3, "s": 3}
+    shared = AcceptSet.from_codes(_SHARED_CODES, (2, 3, 2, 3))
+    edges = (("p", "q", "r", "s"), ("p", "q", "p", "q"), ("r", "s", "r", "s"), ("r", "q", "p", "s"))
+    inst = ReconfInstance(
+        ConstraintGraph(4, verts, edges, 2, (shared,) * 4, vertex_alphabets=alphabets),
+        Assignment({"p": 1, "q": 2, "r": 0, "s": 1}),
+        Assignment({"p": 0, "q": 1, "r": 1, "s": 2}),
+    )
+    composed = _composed(7)
+    assert composed.psi_ini != composed.psi_tar
+    for source in (inst, composed):
+        reduction = arity_reduce(source)
+        for psi4, psi2 in ((source.psi_ini, reduction.instance.psi_ini),
+                           (source.psi_tar, reduction.instance.psi_tar)):
+            for cell in reduction.cells:
+                symbols = [psi4.values[v] for v in cell.vertices]
+                assert psi2.values[cell.name] == cell.singleton(symbols), cell.name
+    reduction = arity_reduce(inst)
+    binary = reduction.instance.graph
+    for cell in reduction.cells:
+        expected = _brute_force_binary_tuples(cell, set(shared))
+        for i, tuples in enumerate(expected):
+            assert list(binary.accepts[4 * cell.hyperedge + i]) == tuples, (cell.hyperedge, i)
+
+
+def test_instances_survive_pickle_and_deepcopy():
+    import copy
+    import pickle
+
+    text = serialize(arity_reduce(_composed(7)).instance)
+    inst = deserialize(text)
+    distinct = len({id(acc) for acc in inst.graph.accepts})
+    assert distinct < len(inst.graph.accepts)
+    for copied in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+        assert serialize(copied) == text
+        assert len({id(acc) for acc in copied.graph.accepts}) == distinct
+        assert not any(acc.codes.flags.writeable for acc in copied.graph.accepts)
+        for psi in (copied.psi_ini, copied.psi_tar):  # lookups read the rebuilt sets
+            assert value(copied.graph, psi).satisfied == value(inst.graph, psi).satisfied
+
+
 def _empty_types(monkeypatch):
     """An empty arity-reduction memo in place of the process's own, put back after the test."""
     monkeypatch.setattr(compose, "_TYPES", compose._TypeMemo(compose._TYPES.cap))
@@ -480,10 +570,13 @@ def test_pair_index_is_the_position_in_the_pair_list():
         pl = tuple((a, b) for a in range(w) for b in range(a, w))
         for pair in itertools.product(range(-1, w + 1), repeat=2):
             if pair in pl:
-                assert compose._pair_index(pl, pair) == pl.index(pair), (w, pair)
+                assert compose._pair_index(w, *pair) == pl.index(pair), (w, pair)
             else:
                 with pytest.raises(ValueError):
-                    compose._pair_index(pl, pair)
+                    compose._pair_index(w, *pair)
+        # elementwise on arrays, one alphabet per entry
+        lows, highs = np.array(pl).T
+        assert compose._pair_index(np.full(len(pl), w), lows, highs).tolist() == list(range(len(pl)))
 
 
 def test_reducing_twice_enumerates_once_and_writes_the_same_bytes(monkeypatch):
@@ -602,6 +695,32 @@ def test_arity_reduce_budget_fails_fast():
     wide = _four_ary([(0, 0, 0, 0)], (0, 0, 0, 0), (0, 0, 0, 0), alphabet=33)
     with pytest.raises(InstanceError, match="hyperedge 0: coordinate space 1185921"):
         arity_reduce(wide, cell_budget=1 << 40)
+
+
+# A hyperedge over alphabets 2, 2, 2 and 20000 has 27 * 200010000 cell values,
+# and its pair lists would hold 2 * 10^8 pairs.  The child caps its own address
+# space at 1 GiB, so building them fails the test instead of exhausting the host.
+_WIDE_CELL = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from reconfcsp.compose import arity_reduce
+from reconfcsp.core import Assignment, ConstraintGraph, InstanceError, ReconfInstance
+zeros = Assignment(dict.fromkeys("abcd", 0))
+graph = ConstraintGraph(4, tuple("abcd"), (tuple("abcd"),), 2, ({(0, 0, 0, 0)},), {"d": 20000})
+try:
+    arity_reduce(ReconfInstance(graph, zeros, zeros))
+except InstanceError as exc:
+    print(exc)
+"""
+
+
+def test_arity_reduce_budget_is_checked_before_any_pair_list_is_built():
+    src = str(Path(compose.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _WIDE_CELL], capture_output=True, text=True,
+                           env=env, timeout=120)
+    assert child.stdout.startswith("cell alphabets total 5400270000 (largest 5400270000 at "
+                                   "hyperedge 0), exceeding the budget"), child.stderr
 
 
 def test_arity_reduce_multiple_hyperedges_get_their_own_cells():

@@ -203,6 +203,25 @@ def test_serialize_matches_json_dumps(inst):
     assert deserialize(text) == inst
 
 
+@settings(max_examples=200)
+@given(writer_instances(), st.data())
+def test_value_and_in_count_as_a_set_of_tuples_does(inst, data):
+    """`value` and `in` against membership in `set(acc)`, as `dfs_maxmin` counts,
+    over mixed and unit alphabets, repeated vertices and empty accept sets."""
+    graph = inst.graph
+    assume(graph.edges)
+    accepted = [set(acc) for acc in graph.accepts]
+    for psi in (inst.psi_ini, inst.psi_tar):
+        hit = sum(tuple(psi.values[v] for v in e) in acc for e, acc in zip(graph.edges, accepted))
+        got = value(graph, psi)
+        assert (got.satisfied, got.total) == (hit, len(graph.edges))
+    for acc, tuples in zip(graph.accepts, accepted):
+        probe = data.draw(st.tuples(*(st.integers(-1, size) for size in acc.sizes)))
+        assert (probe in acc) == (probe in tuples)
+        for tup in tuples:
+            assert tup in acc
+
+
 def test_serialize_huge_alphabet_builds_no_symbol_table():
     big = 1 << 40
     graph = ConstraintGraph(
