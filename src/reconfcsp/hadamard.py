@@ -290,10 +290,17 @@ class CodewordPath:
     steps: tuple[BitFunction, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "flip_order", tuple(self.flip_order))
-        steps = [had_encode(self.alpha, self.n)]
-        for position in self.flip_order:
-            steps.append(steps[-1].flip(position))
+        object.__setattr__(self, "flip_order", order := tuple(self.flip_order))
+        n, start = self.n, had_encode(self.alpha, self.n)
+        if order and not 0 <= min(order) <= max(order) < 1 << n:
+            start.flip(next(x for x in order if not 0 <= x < 1 << n))  # raises its ValueError
+        steps, bits = [start], start.bits
+        for position in order:  # as `BitFunction.flip`, with the range checked above
+            bits ^= 1 << position
+            f = object.__new__(BitFunction)
+            _SET_N(f, n)
+            _SET_BITS(f, bits)
+            steps.append(f)
         object.__setattr__(self, "steps", tuple(steps))
 
 

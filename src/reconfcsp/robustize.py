@@ -9,8 +9,10 @@ candidate, and a block d < 2^(n-2) from a codeword has it as its nearest.
 Along a walk, `count_satisfied` and `extract_psi_sequence` decode each
 moved block from its vertex's last one: by one XOR with the last nearest
 codeword while within 2^(n-2) of it, else from the last distances known
-(one Hadamard sign row per flipped bit, or a popcount when far), and
-`count_satisfied` re-judges only the circuits on moved blocks.  Circuits
+(one Hadamard sign row per flipped bit, or a popcount when far).
+`count_satisfied` keeps the verdicts on a moved block whose symbol stays
+and whose old and new nearest d have d + radius < 2^(n-1).  Spliced walks
+are built with the slot setters, no `with_block` call per step.  Circuits
 stay semantic (a predicate over two blocks); only the micro oracle ever
 materializes their truth tables, and only for n <= 3.
 """
@@ -179,42 +181,53 @@ def _require_length(circuit: RobustCircuit, *blocks: BitFunction) -> None:
         raise InstanceError(f"length mismatch: circuit expects blocks of 2^{circuit.n} bits")
 
 
-# The last `count_satisfied` call: (system, circuit indices per vertex, decoded
-# block per vertex, verdict per circuit), replaced whole, so concurrent callers
-# can lose each other's work but never read mixed state.
-_last_count: tuple = (None, {}, {}, [])
+# The last `count_satisfied` call, replaced whole so concurrent callers can lose each
+# other's work but never read mixed state: (system, (vertex, its circuit indices, their
+# least 2^(n-1) - radius) per vertex, decoded block per vertex, verdict per circuit).
+_last_count: tuple = (None, (), {}, [])
 
 
 def count_satisfied(system: CircuitSystem, sigma: BlockAssignment) -> int:
     """How many circuits accept `sigma`: `eval_circuit` on each, summed.
 
-    Only blocks that differ in n or bits from the last call's block of
-    their vertex are decoded, from that block (see `_decode`), and only the
-    circuits on them are judged again.
+    Only blocks that differ in n or bits from the last call's block of their
+    vertex are decoded, from that block (see `_decode`).  Their circuits are
+    judged again unless the nearest symbol is kept and the old and new nearest
+    distances d have d + radius < 2^(n-1), so d < 2^(n-2) <= radius.  Then, for
+    the other block g at e: e > 2^(n-2) fails; e + radius < 2^(n-1) tests (best,
+    g.best); else e > d and best is the only candidate.  Each reads best alone.
     """
     global _last_count
     last_system, around, decoded, verdicts = _last_count
-    if last_system is not system:
-        around, decoded, verdicts = {}, {}, [False] * len(system.circuits)
-        for i, c in enumerate(system.circuits):
-            around.setdefault(c.v, []).append(i)
-            around.setdefault(c.w, []).append(i)
     circuits, blocks = system.circuits, sigma.blocks
-    stale = set()
-    for v, on in around.items():
-        block, old = blocks[v], decoded.get(v)
-        if old is None or old.bits != block.bits or old.n != block.n:
-            if not stale:  # copied before the first change, as the entry is replaced whole
-                decoded, verdicts = dict(decoded), list(verdicts)
-            if old is None or old.n != block.n:  # else checked when `old` was decoded
+    moved = last_system is not system
+    try:
+        if moved:
+            circuits_of: dict[str, list[int]] = {}
+            for i, c in enumerate(circuits):
+                _require_length(c, blocks[c.v], blocks[c.w])
+                for v in dict.fromkeys((c.v, c.w)):
+                    circuits_of.setdefault(v, []).append(i)
+            limits = [(1 << c.n - 1) - c.radius for c in circuits]
+            around = tuple((v, on, min(limits[i] for i in on)) for v, on in circuits_of.items())
+            decoded = {v: _decode(blocks[v].n, blocks[v].bits) for v in circuits_of}
+            verdicts = [_verdict(c, decoded[c.v], decoded[c.w]) for c in circuits]
+        for v, on, limit in around:
+            block, old = blocks[v], decoded[v]
+            if old.bits == block.bits and old.n == block.n:
+                continue
+            if not moved:  # copied before the first change, as the entry is replaced whole
+                decoded, verdicts, moved = decoded.copy(), verdicts.copy(), True
+            if old.n != block.n:  # `old` passed this check, so `block` fails it
+                _require_length(circuits[on[0]], block)
+            new = decoded[v] = _decode(block.n, block.bits, old)
+            if new.best != old.best or old.nearest >= limit or new.nearest >= limit:
                 for i in on:
-                    _require_length(circuits[i], block)
-            decoded[v] = _decode(block.n, block.bits, old)
-            stale.update(on)
-    if stale:
-        for i in stale:
-            c = circuits[i]
-            verdicts[i] = _verdict(c, decoded[c.v], decoded[c.w])
+                    c = circuits[i]
+                    verdicts[i] = _verdict(c, decoded[c.v], decoded[c.w])
+    except KeyError as exc:
+        raise InstanceError(f"block assignment has no block for vertex {exc.args[0]!r}") from None
+    if moved:
         _last_count = (system, around, decoded, verdicts)
     return sum(verdicts)
 
@@ -300,22 +313,21 @@ def completeness_sequence(
     if psi_seq.steps[-1].values != {v: decode_block(b) for v, b in system.sigma_tar.blocks.items()}:
         raise InstanceError("psi sequence does not end at the system's target assignment")
     out = [system.sigma_ini]
-    current = system.sigma_ini
-    for t in range(len(psi_seq.steps) - 1):
-        before, after = psi_seq.steps[t], psi_seq.steps[t + 1]
+    n, blocks = system.sigma_ini.n, system.sigma_ini.blocks
+    for t, (before, after) in enumerate(zip(psi_seq.steps, psi_seq.steps[1:])):
         moved = before.changed_vertices(after)
         if not moved:
             continue
         (v_star,) = moved
-        path = generate_codeword_path(
-            before.values[v_star],
-            after.values[v_star],
-            system.n,
-            derive_seed(seed, "splice", t, v_star),
-        )
-        for block in path.steps[1:]:
-            current = current.with_block(v_star, block)
-            out.append(current)
+        alpha, beta = before.values[v_star], after.values[v_star]
+        path = generate_codeword_path(alpha, beta, system.n, derive_seed(seed, "splice", t, v_star))
+        for block in path.steps[1:]:  # as `with_block`, without a call per step
+            blocks = blocks.copy()
+            blocks[v_star] = block
+            sigma = object.__new__(BlockAssignment)
+            _SET_N(sigma, n)
+            _SET_BLOCKS(sigma, blocks)
+            out.append(sigma)
     return out
 
 
@@ -343,16 +355,22 @@ def extract_psi_sequence(
 ) -> ReconfigSequence:
     """Decode each block to its nearest codeword, stepwise, collapsing duplicates.
 
-    Every step is checked before anything is decoded; then each moved
-    block is decoded from its vertex's last one.
+    Every step is checked first: it holds a block for each vertex and changes
+    at most one bit.  Then each moved block is decoded from its vertex's last one.
     """
     if not sigma_seq:
         raise InstanceError("sigma sequence must be non-empty")
     moves = []
-    for a, b in zip(sigma_seq, sigma_seq[1:]):
-        change = single_bit_change(a, b)
-        if change is not None:
-            moves.append((change[0], b.blocks[change[0]]))
+    try:
+        for v in system.graph.vertices:  # step 0; `single_bit_change` checks each next one
+            sigma_seq[0].blocks[v]
+        for a, b in zip(sigma_seq, sigma_seq[1:]):
+            change = single_bit_change(a, b)
+            if change is not None:
+                moves.append((change[0], b.blocks[change[0]]))
+    except KeyError as exc:
+        t = next(t for t, sigma in enumerate(sigma_seq) if exc.args[0] not in sigma.blocks)
+        raise InstanceError(f"sigma step {t} has no block for vertex {exc.args[0]!r}") from None
     last = {v: _decode(block.n, block.bits) for v, block in sigma_seq[0].blocks.items()}
     decoded = {v: d.best for v, d in last.items()}
     steps = [Assignment(dict(decoded))]

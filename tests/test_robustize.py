@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reconfcsp.constants import FARNESS_MARGIN, QUARTER, clause_two_radius, quarter_radius
@@ -410,6 +410,25 @@ def test_extract_rejects_multibit_steps():
         extract_psi_sequence(system, [system.sigma_ini, jumped])
 
 
+def test_extract_and_count_name_a_vertex_without_a_block(monkeypatch):
+    inst, _ = _satisfying_walk_instance(seed=13)
+    system = robustize(inst)
+    sigma = system.sigma_ini
+    partial = BlockAssignment(sigma.n, {v: b for v, b in sigma.blocks.items() if v != "v0"})
+    with pytest.raises(InstanceError, match="^sigma step 0 has no block for vertex 'v0'$"):
+        extract_psi_sequence(system, [partial])
+    with pytest.raises(InstanceError, match="^sigma step 2 has no block for vertex 'v0'$"):
+        extract_psi_sequence(system, [sigma, sigma.flip("v1", 3), partial, sigma])
+    # on the system's first call, and on a later one
+    monkeypatch.setattr(rb, "_last_count", (None, {}, {}, []))
+    missing = "^block assignment has no block for vertex 'v0'$"
+    with pytest.raises(InstanceError, match=missing):
+        count_satisfied(system, partial)
+    assert count_satisfied(system, sigma) == len(system.circuits)
+    with pytest.raises(InstanceError, match=missing):
+        count_satisfied(system, partial)
+
+
 def test_moved_assignments_equal_public_ones_and_share_unmoved_blocks():
     sigma = robustize(path_graph_instance(512, [{"u": 0, "v": 1, "w": 2}])).sigma_ini
     moved = sigma.flip("u", 5)
@@ -502,10 +521,21 @@ def test_count_satisfied_reevaluates_only_moved_circuits(monkeypatch):
     inst, walk = _satisfying_walk_instance(seed=41, vertices=4)
     system = robustize(inst)
     spliced = completeness_sequence(system, walk, seed=1)
+    n, decode, verdict = system.n, rb._decode, rb._verdict
+    # verdicts on a block stand while it keeps its symbol, at most this far from it
+    window = min(quarter_radius(n), (1 << (n - 1)) - 1 - clause_two_radius(n))
+    expected = []
+    for a, b in zip(spliced, spliced[1:]):
+        moved, _ = single_bit_change(a, b)
+        old, new = (decode(n, sigma.blocks[moved].bits) for sigma in (a, b))
+        kept = old.best == new.best and max(old.nearest, new.nearest) <= window
+        expected.append([] if kept else [c for c in system.circuits if moved in (c.v, c.w)])
+    splices = sum(a != b for a, b in zip(walk.steps, walk.steps[1:]))
+    # two steps of each splice pass 2^(n-2), where the symbol changes
+    assert sum(map(bool, expected)) == 2 * splices and len(expected) == 256 * splices
     # the state left by the spies below must not outlive this test
     monkeypatch.setattr(rb, "_last_count", (None, {}, {}, []))
     decodes, judged = [], []
-    decode, verdict = rb._decode, rb._verdict
 
     def spy_decode(n, bits, near=None):
         decodes.append((bits, near))
@@ -520,7 +550,7 @@ def test_count_satisfied_reevaluates_only_moved_circuits(monkeypatch):
     count_satisfied(system, spliced[0])
     assert sorted(judged, key=lambda c: c.edge_index) == list(system.circuits)
     assert [near for _, near in decodes] == [None] * len(system.graph.vertices)
-    for a, b in zip(spliced, spliced[1:]):
+    for a, b, on_moved in zip(spliced, spliced[1:], expected):
         decodes.clear()
         judged.clear()
         assert count_satisfied(system, b) == len(system.circuits)
@@ -529,7 +559,6 @@ def test_count_satisfied_reevaluates_only_moved_circuits(monkeypatch):
         assert [(bits, near.bits) for bits, near in decodes] == [
             (b.blocks[moved].bits, a.blocks[moved].bits)
         ]
-        on_moved = [c for c in system.circuits if moved in (c.v, c.w)]
         assert sorted(judged, key=lambda c: c.edge_index) == on_moved
 
 
@@ -740,6 +769,62 @@ def test_decoders_match_per_step_references_on_random_walks(n, moves):
         assert_same_outcome(fresh_count, count_satisfied, system, sigma)
     for walk in ([sigma for _, sigma in calls], [sigma for _, sigma in walked]):
         assert_same_outcome(reference_extract, extract_psi_sequence, calls[0][0], walk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((9, 10)),
+    st.tuples(*[st.integers(-4, 3)] * 3),
+    st.lists(
+        st.tuples(
+            st.integers(0, 2), st.sampled_from(("on", "off", "on", "off", "random", "mirror")),
+            st.integers(0, 2**32), st.integers(0, 3),
+        ),
+        max_size=60,
+    ),
+)
+@example(9, (0, 0, 0), [(1, "off", 0, 1)])  # from the tie at 2^(n-2) into the window
+@example(10, (-1, -1, -1), [(1, "off", 0, 1)])  # from two candidates to one, same symbol
+@example(9, (-3, -3, -3), [(1, "mirror", 0, 1)])  # a jump to another symbol, inside the window
+def test_kept_verdicts_match_fresh_counts_across_the_quarter_and_window(n, offsets, moves):
+    # Each block starts a few bits either side of 2^(n-2) into the positions where
+    # its codeword and another differ, and steps along them ("on" toward the other
+    # codeword, "off" back), flips any bit, or jumps to the mirror point the same
+    # distance from the other codeword.  It so crosses 1/4, where the symbol
+    # changes, and the edges of the window where a block has one candidate.
+    inst = path_graph_instance(1 << n, [{"u": 0, "v": 1, "w": 2}, {"u": 3, "v": 1, "w": 0}])
+    systems = (robustize(inst), robustize(inst, weakened=True))
+    table, half = codeword_table(n), 1 << (n - 1)
+    sides = {  # the other codewords: (6, 1) and (0, 5) are refused, (1, 0) accepted
+        v: (table[alpha], stream(n, v).sample(sorted(disagreement_set(alpha, beta, n)), half))
+        for v, alpha, beta in (("u", 0, 6), ("v", 1, 5), ("w", 2, 0))
+    }
+    flipped = {v: quarter_radius(n) + k for v, k in zip("uvw", offsets)}
+    other = {v: 0 for v in "uvw"}  # bits flipped outside the walk along D
+
+    def sigma():
+        blocks = {}
+        for v, (start, positions) in sides.items():
+            bits = start ^ other[v]
+            for x in positions[: flipped[v]]:
+                bits ^= 1 << x
+            blocks[v] = BitFunction(n, bits)
+        return BlockAssignment(n, blocks)
+
+    which, step = 0, sigma()
+    assert count_satisfied(systems[0], step) == fresh_count(systems[0], step)
+    for vertex, kind, r, switch in moves:
+        v = "uvw"[vertex]
+        if kind == "random":
+            other[v] ^= 1 << (r % (1 << n))
+        elif kind == "mirror":
+            flipped[v] = half - flipped[v]
+        else:
+            flipped[v] = min(half, max(0, flipped[v] + (1 if kind == "on" else -1)))
+        if switch == 0:  # now and then the other system: the kept state is replaced
+            which ^= 1
+        step = sigma()
+        assert count_satisfied(systems[which], step) == fresh_count(systems[which], step)
 
 
 def test_extracting_a_long_n12_walk_holds_one_chunk_of_distances():
