@@ -68,7 +68,6 @@ def _cmd_generate(args) -> int:
         edge_count=args.edges,
         walk_length=args.walk,
         extra_tuples=2 if args.extra is None else args.extra,
-        budget=args.budget,
     )
     write_text_atomic(args.out, core.serialize(instance))
     print(f"instance: {args.out}")
@@ -366,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.add_argument("--path-out", default=None, help="write the satisfying walk here")
     add_seed(gen)
-    add_budget(gen)
     gen.set_defaults(func=_cmd_generate)
 
     solve = sub.add_parser("solve", help="exact maxmin value / threshold reachability")

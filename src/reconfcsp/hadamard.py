@@ -11,16 +11,16 @@ uint64 word matrix, or from +-1 updates: flipping bit x moves the distance
 to had(gamma) by +-(-1)^(x.gamma), row x of the cached Hadamard sign table
 (the Walsh-Hadamard identity W_f(gamma) = 2^n - 2 dist(f, had(gamma)) in
 Hamming units).  `codeword_distances` popcounts a block, or updates the
-distances of a block a few bits away that the caller already has;
-`walk_distances` gives the (step x codeword) matrix of a single-bit walk by
-a running sum of updates, in chunks of bounded size.  Nothing here
-remembers a block between calls.  Block decoding reads `codeword_distances`.
+distances of a block a few bits away that the caller already has.  It is
+the one distance kernel: block decoding reads it, and a path scan reads it
+once per step, a popcount for the first step and one sign row for each next.
+Nothing here remembers a block between calls.
 
 Step t of a path that flips the positions where had(alpha) and had(beta)
 differ, one each, is t from had(alpha) and 2^(n-1) - t from had(beta), and
 so at least max(t, 2^(n-1) - t) from every other codeword: path verification
 reads only the steps within the farness radius of both bounds.  Close-step
-searches and distance profiles read the whole path, one chunk at a time.
+searches and distance profiles read the whole path, one step at a time.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ class BitFunction:
 _SET_N, _SET_BITS = BitFunction.n.__set__, BitFunction.bits.__set__
 
 
-# Largest block exponent any command or reader accepts: a codeword-path
-# distance matrix at n = 12 is (2^11 + 1) x 2^12 int32 (32 MiB), and the
-# codeword table is 2^12 blocks of 4096 bits.
+# Largest block exponent any command or reader accepts: at n = 12 the sign
+# table is 2^12 x 2^12 int8 (16 MiB), and the codeword table is 2^12 blocks
+# of 4096 bits (2 MiB, held twice: as integers and as the word matrix).
 MAX_N = 12
 
 
@@ -156,48 +156,6 @@ def codeword_distances(
     table = codeword_words(n)
     block = np.frombuffer(bits.to_bytes(8 * len(table), "little"), dtype="<u8")
     return np.bitwise_count(table ^ block[:, None]).sum(axis=0, dtype=np.int32)
-
-
-# Largest distance matrix `walk_distances` fills at once: 2,048 rows at
-# n = 9, 256 at n = 12.
-WALK_CHUNK_BYTES = 1 << 22
-
-
-def walk_distances(n: int, walk: Sequence[int]) -> Iterator[np.ndarray]:
-    """Distances of each block of a single-bit walk to every codeword, a chunk at a time.
-
-    Yields (k, 2^n) int32 matrices whose rows are the distances of walk[0],
-    walk[1], ...: row 0 by popcount, each next one as the row before plus
-    row x of `hadamard_signs`, negated where bit x was set.  A chunk holds at
-    most WALK_CHUNK_BYTES of rows and is overwritten by the next.  Every step
-    must change exactly one bit.
-    """
-    rows = max(1, WALK_CHUNK_BYTES // (4 << n))
-    signs = hadamard_signs(n)
-    # popcounted before the buffer is allocated, so their peaks do not add
-    last = codeword_distances(n, walk[0]) if walk else None
-    buffer = np.empty((min(rows, len(walk)), 1 << n), dtype=np.int32)
-    for start in range(0, len(walk), rows):
-        positions, before = [], []
-        for t in range(max(start, 1), min(start + rows, len(walk))):
-            delta = walk[t - 1] ^ walk[t]
-            if delta.bit_count() != 1:
-                raise ValueError(f"path step {t - 1} changes {delta.bit_count()} bits, not one")
-            x = delta.bit_length() - 1
-            positions.append(x)
-            before.append((walk[t - 1] >> x) & 1)
-        dist = buffer[: min(rows, len(walk) - start)]
-        moves = dist[len(dist) - len(positions):]
-        moves[:] = signs[positions]
-        moves *= 1 - 2 * np.array(before, dtype=np.int32)[:, None]
-        if start:
-            dist[0] += last
-        else:
-            dist[0] = last
-        for t in range(1, len(dist)):  # numpy's accumulate down axis 0 is 2-3x slower
-            dist[t] += dist[t - 1]
-        last = dist[-1].copy()
-        yield dist
 
 
 def had_encode(alpha: int, n: int) -> BitFunction:
@@ -314,25 +272,34 @@ class PathReport:
     detail: str = ""
 
 
-def _first_close(
+def _step_distances(
+    path: CodewordPath, start: int = 0, stop: int | None = None
+) -> Iterator[tuple[int, np.ndarray, int]]:
+    """(t, distances of step t to every codeword, the least to one other than alpha
+    and beta) for t = start..stop-1: step `start` by popcount, each next by one sign row."""
+    others = np.ones(1 << path.n, dtype=bool)
+    others[[path.alpha, path.beta]] = False
+    near = None
+    for t, step in enumerate(path.steps[start:stop], start):
+        dist = codeword_distances(path.n, step.bits, near)
+        near = step.bits, dist
+        # the initial value is above any distance: at n = 1 there is no third codeword
+        yield t, dist, int(dist.min(where=others, initial=(1 << path.n) + 1))
+
+
+def find_close_step(
     path: CodewordPath, radius: Fraction, start: int = 0, stop: int | None = None
 ) -> tuple[int, int, Fraction] | None:
-    """`find_close_step` over steps start..stop-1 alone."""
+    """First (step, gamma, distance) among steps start..stop-1 with a codeword gamma other
+    than alpha and beta within `radius`, smallest gamma first; else None."""
     length = 1 << path.n
-    for dist in walk_distances(path.n, [step.bits for step in path.steps[start:stop]]):
-        close = dist <= int(radius * length)  # dist <= radius  <=>  hamming <= floor(radius * 2^n)
-        close[:, [path.alpha, path.beta]] = False
-        first = int(close.argmax())  # first row-major hit: earliest step, then smallest gamma
-        if close.flat[first]:
-            t, gamma = divmod(first, length)
-            return start + t, gamma, Fraction(int(dist[t, gamma]), length)
-        start += len(dist)
+    limit = int(radius * length)  # dist <= radius  <=>  hamming <= floor(radius * 2^n)
+    for t, dist, nearest in _step_distances(path, start, stop):
+        if nearest <= limit:
+            close = np.flatnonzero(dist <= limit).tolist()
+            gamma = next(g for g in close if g not in (path.alpha, path.beta))
+            return t, gamma, Fraction(int(dist[gamma]), length)
     return None
-
-
-def find_close_step(path: CodewordPath, radius: Fraction) -> tuple[int, int, Fraction] | None:
-    """First (step, gamma, distance) with a third codeword within `radius`, else None."""
-    return _first_close(path, radius)
 
 
 def farness_violation(path: CodewordPath) -> tuple[int, int, Fraction] | None:
@@ -340,18 +307,7 @@ def farness_violation(path: CodewordPath) -> tuple[int, int, Fraction] | None:
 
     The path is far from every other codeword exactly when this is None.
     """
-    return _first_close(path, QUARTER + FARNESS_MARGIN)
-
-
-def _window_close(path: CodewordPath, radius: Fraction) -> tuple[int, int, Fraction] | None:
-    """`find_close_step` for a path whose flip order is a permutation of D.
-
-    Step t is then t from had(alpha) and 2^(n-1) - t from had(beta), both
-    2^(n-1) from every other codeword, so it is at least max(t, 2^(n-1) - t)
-    from them: only steps 2^(n-1) - r .. r, r = floor(radius * 2^n), are read.
-    """
-    half, r = 1 << (path.n - 1), int(radius * (1 << path.n))
-    return _first_close(path, radius, max(0, half - r), r + 1)
+    return find_close_step(path, QUARTER + FARNESS_MARGIN)
 
 
 def verify_codeword_path(path: CodewordPath) -> PathReport:
@@ -363,8 +319,12 @@ def verify_codeword_path(path: CodewordPath) -> PathReport:
     """
     if sorted(path.flip_order) != sorted(disagreement_set(path.alpha, path.beta, path.n)):
         return PathReport(False, "structure", detail="flip order is not a permutation of D")
-    # so the path ends at had(beta), and each step is quarter-close to one endpoint
-    hit = _window_close(path, QUARTER + FARNESS_MARGIN)
+    # So step t is t from had(alpha) and 2^(n-1) - t from had(beta), both 2^(n-1) from
+    # every other codeword, and so at least max(t, 2^(n-1) - t) from it: only steps
+    # 2^(n-1) - r .. r, r = floor(radius * 2^n), can come within the radius.
+    radius = QUARTER + FARNESS_MARGIN
+    half, r = 1 << (path.n - 1), int(radius * (1 << path.n))
+    hit = find_close_step(path, radius, max(0, half - r), r + 1)
     if hit is not None:
         t, gamma, distance = hit
         return PathReport(False, "distance", t, gamma, distance,
@@ -414,17 +374,8 @@ def generate_codeword_path(
 
 def distance_profile(path: CodewordPath) -> list[tuple[int, int, int, int]]:
     """Rows (step, hamming-to-alpha, hamming-to-beta, min-hamming-to-others)."""
-    rows, start = [], 0
-    for dist in walk_distances(path.n, [step.bits for step in path.steps]):
-        others = np.delete(dist, [path.alpha, path.beta], axis=1).min(axis=1)
-        rows += zip(
-            range(start, start + len(dist)),
-            dist[:, path.alpha].tolist(),
-            dist[:, path.beta].tolist(),
-            others.tolist(),
-        )
-        start += len(dist)
-    return rows
+    return [(t, int(dist[path.alpha]), int(dist[path.beta]), nearest)
+            for t, dist, nearest in _step_distances(path)]
 
 
 def exhaust_flip_orders(alpha: int, beta: int, n: int, radius: Fraction = QUARTER):

@@ -355,14 +355,15 @@ def extract_psi_sequence(
 ) -> ReconfigSequence:
     """Decode each block to its nearest codeword, stepwise, collapsing duplicates.
 
-    Every step is checked first: it holds a block for each vertex and changes
-    at most one bit.  Then each moved block is decoded from its vertex's last one.
+    Every step is checked first: it holds a block for each vertex and no other,
+    and changes at most one bit.  Then each moved block is decoded from its
+    vertex's last one.
     """
     if not sigma_seq:
         raise InstanceError("sigma sequence must be non-empty")
-    moves = []
+    moves, vertices = [], system.graph.vertices
     try:
-        for v in system.graph.vertices:  # step 0; `single_bit_change` checks each next one
+        for v in vertices:  # step 0; `single_bit_change` checks each next one
             sigma_seq[0].blocks[v]
         for a, b in zip(sigma_seq, sigma_seq[1:]):
             change = single_bit_change(a, b)
@@ -371,6 +372,12 @@ def extract_psi_sequence(
     except KeyError as exc:
         t = next(t for t, sigma in enumerate(sigma_seq) if exc.args[0] not in sigma.blocks)
         raise InstanceError(f"sigma step {t} has no block for vertex {exc.args[0]!r}") from None
+    # each step holds every vertex, so one with more blocks holds one the system lacks
+    for t, sigma in enumerate(sigma_seq):
+        if len(sigma.blocks) != len(vertices):
+            extra = next(v for v in sigma.blocks if v not in system.graph.vertex_index)
+            raise InstanceError(f"sigma step {t} has a block for vertex {extra!r}, "
+                                "which the system does not have")
     last = {v: _decode(block.n, block.bits) for v, block in sigma_seq[0].blocks.items()}
     decoded = {v: d.best for v, d in last.items()}
     steps = [Assignment(dict(decoded))]

@@ -309,14 +309,13 @@ def generate_instance(
     edge_count: int | None = None,
     walk_length: int | None = None,
     extra_tuples: int = 2,
-    budget: int = DEFAULT_BUDGET,
 ) -> tuple[ReconfInstance, ReconfigSequence | None]:
     """Deterministic per-seed instance generator.
 
     With `satisfiable`, constraints are grown around a random one-vertex-move
     walk so both endpoints satisfy the graph and the walk itself is a
-    satisfying reconfiguration sequence (returned alongside); the claim is
-    re-verified with the exact solver whenever the state space is in budget.
+    satisfying reconfiguration sequence (returned alongside).  The walk's
+    value is checked, and a walk that fails it raises instead of being redrawn.
     """
     if vertices < 2:
         raise InstanceError("need at least 2 vertices")
@@ -346,60 +345,52 @@ def generate_instance(
             raise InstanceError(f"{flag} {given}: the {kind} instance would hold {count} "
                                 f"{what}, more than {most}")
     names = [f"v{i}" for i in range(vertices)]
-    for attempt in range(20):  # fresh seeded skeletons before giving up
-        rng = stream(seed, "generate", kind, attempt)
-        edges = _edge_skeleton(kind, names, edge_count, rng)
-        if not satisfiable:
-            accepts = []
-            for _ in edges:
-                count = rng.randrange(1, max(2, alphabet))
-                tuples = {
-                    (rng.randrange(alphabet), rng.randrange(alphabet)) for _ in range(count)
-                }
-                accepts.append(tuples)
-            graph = ConstraintGraph(
-                q=2,
-                vertices=tuple(names),
-                edges=tuple(edges),
-                alphabet=alphabet,
-                accepts=tuple(accepts),
-            )
-            psi_ini = Assignment({v: rng.randrange(alphabet) for v in names})
-            psi_tar = Assignment({v: rng.randrange(alphabet) for v in names})
-            return ReconfInstance(graph, psi_ini, psi_tar), None
-        start = {v: rng.randrange(alphabet) for v in names}
-        walk = [Assignment(dict(start))]
-        current = dict(start)
-        for _ in range(walk_length):
-            v = rng.choice(names)
-            symbol = rng.randrange(alphabet - 1)
-            if symbol >= current[v]:
-                symbol += 1
-            current[v] = symbol
-            walk.append(Assignment(dict(current)))
-        pair_sets: list[set[tuple[int, int]]] = [set() for _ in edges]
-        for step in walk:
-            for i, (u, v) in enumerate(edges):
-                pair_sets[i].add((step.values[u], step.values[v]))
-        for pairs in pair_sets:
-            for _ in range(extra_tuples):
-                pairs.add((rng.randrange(alphabet), rng.randrange(alphabet)))
+    rng = stream(seed, "generate", kind, 0)
+    edges = _edge_skeleton(kind, names, edge_count, rng)
+    if not satisfiable:
+        accepts = []
+        for _ in edges:
+            count = rng.randrange(1, max(2, alphabet))
+            tuples = {
+                (rng.randrange(alphabet), rng.randrange(alphabet)) for _ in range(count)
+            }
+            accepts.append(tuples)
         graph = ConstraintGraph(
             q=2,
             vertices=tuple(names),
             edges=tuple(edges),
             alphabet=alphabet,
-            accepts=tuple(pair_sets),
+            accepts=tuple(accepts),
         )
-        instance = ReconfInstance(graph, walk[0], walk[-1])
-        seq = ReconfigSequence(tuple(walk))
-        if sequence_value(graph, seq) != 1:
-            continue
-        if state_space_size(graph) <= min(budget, 1 << 20):
-            ok, _ = reachable_at_threshold(instance, len(edges), budget=budget)
-            if not ok:
-                continue
-        return instance, seq
-    raise InstanceError(
-        "satisfiable generation timed out; try smaller --vertices/--alphabet"
+        psi_ini = Assignment({v: rng.randrange(alphabet) for v in names})
+        psi_tar = Assignment({v: rng.randrange(alphabet) for v in names})
+        return ReconfInstance(graph, psi_ini, psi_tar), None
+    start = {v: rng.randrange(alphabet) for v in names}
+    walk = [Assignment(dict(start))]
+    current = dict(start)
+    for _ in range(walk_length):
+        v = rng.choice(names)
+        symbol = rng.randrange(alphabet - 1)
+        if symbol >= current[v]:
+            symbol += 1
+        current[v] = symbol
+        walk.append(Assignment(dict(current)))
+    pair_sets: list[set[tuple[int, int]]] = [set() for _ in edges]
+    for step in walk:
+        for i, (u, v) in enumerate(edges):
+            pair_sets[i].add((step.values[u], step.values[v]))
+    for pairs in pair_sets:
+        for _ in range(extra_tuples):
+            pairs.add((rng.randrange(alphabet), rng.randrange(alphabet)))
+    graph = ConstraintGraph(
+        q=2,
+        vertices=tuple(names),
+        edges=tuple(edges),
+        alphabet=alphabet,
+        accepts=tuple(pair_sets),
     )
+    instance = ReconfInstance(graph, walk[0], walk[-1])
+    seq = ReconfigSequence(tuple(walk))
+    if sequence_value(graph, seq) != 1:  # each step's pairs were added to every edge
+        raise InstanceError("the generated walk does not satisfy its own instance")
+    return instance, seq

@@ -393,6 +393,7 @@ def test_pipeline_n9(tmp_path, capsys):
 # into `hadamard`; the bytes must not change.
 _OBS_N3_SHA256 = "2301275bd00fad921413298b5b80afef2651f6ec0e9d52e79f807b709d766d07"
 _CLAIM_PARTITION_N4_SHA256 = "7fff6f58848bfef741b6521d143052cb4613f6da12ca6de780b3609263bb4253"
+_FIG2_N9_SEED7_SHA256 = "f9832b50e16ed65f1dab35f65b007a1b3d8ba88c669285c7943c1ee5d623287a"
 
 
 def test_experiment_obs_n3(tmp_path, capsys):
@@ -422,6 +423,7 @@ def test_experiment_fig2(tmp_path, capsys):
     csv_path = tmp_path / "fig2.csv"
     assert run("experiment", "fig2-profile", "--n", 9, "--seed", 7, "--out", csv_path) == 0
     assert "min-dist-to-other everywhere > 1/4 + 1/400: True" in capsys.readouterr().out
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == _FIG2_N9_SEED7_SHA256
 
 
 def test_generate_then_pipeline_micro(tmp_path, capsys):
@@ -549,8 +551,8 @@ def test_every_flag_is_read_by_its_handler():
 # Each probe names the flag its refusal must name.  OUT is every output path,
 # and nothing may be written to it.
 _REFUSED = {
-    "generate-budget-negative": ("--budget", {}, ["generate", "--kind", "cycle", "--vertices", 3,
-                                                  "--alphabet", 3, "--budget", -1, "--out", "OUT"]),
+    "generate-budget-unrecognized": ("--budget", {}, ["generate", "--kind", "cycle", "--vertices", 3,
+                                                      "--alphabet", 3, "--budget", -1, "--out", "OUT"]),
     "solve-budget-negative": ("--budget", {}, ["solve", "--instance", "INST", "--budget", -5,
                                                "--witness-out", "OUT"]),
     "pipeline-budget-negative": ("--budget", {}, ["pipeline", "--instance", "INST", "--mode", "micro",

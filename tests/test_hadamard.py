@@ -295,22 +295,6 @@ def test_codeword_distances_match_scan_seeded():
             assert codeword_distances(n, bits).tolist() == scan_distances(n, bits)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 7, 256, None])
-def test_walk_distances_in_chunks_match_scan(monkeypatch, rows):
-    if rows is not None:
-        monkeypatch.setattr(hadamard, "WALK_CHUNK_BYTES", rows * (4 << 9))
-    path = generate_codeword_path(40, 333, 9, seed=6)
-    walk = [step.bits for step in path.steps] + [path.steps[-2].bits]
-    got = []
-    for dist in hadamard.walk_distances(9, walk):
-        assert len(dist) <= (rows or hadamard.WALK_CHUNK_BYTES // (4 << 9))
-        got += dist.tolist()  # the next chunk overwrites this one
-    assert got == [scan_distances(9, bits) for bits in walk]
-    jumped = walk[:100] + [walk[99] ^ 0b111] + walk[100:]
-    with pytest.raises(ValueError, match="path step 99 changes 3 bits"):
-        list(hadamard.walk_distances(9, jumped))
-
-
 # ---------------------------------------------------------------------------
 # Incremental distances along walks against the same scan
 # ---------------------------------------------------------------------------
@@ -469,17 +453,16 @@ def test_find_close_step_matches_scan_at_n9():
         assert find_close_step(path, far) is None is scan_first_close(path, far)
 
 
-@pytest.mark.parametrize("rows", [1, 7, 100])
-def test_path_checks_read_chunks_in_step_order(monkeypatch, rows):
-    # an n = 9 path is one chunk by default; in chunks of `rows` steps the first
-    # hits, profile rows and reports must still be those of the whole path
+def test_path_checks_read_steps_in_order():
+    # each step's distances are the step before's plus one sign row; the first
+    # hits, profile rows and reports must still be those of a scan of every step
     far = QUARTER + FARNESS_MARGIN
     ordered = CodewordPath(9, 40, 333, sorted(disagreement_set(40, 333, 9)))
-    monkeypatch.setattr(hadamard, "WALK_CHUNK_BYTES", rows * (4 << 9))
     for path in (generate_codeword_path(40, 333, 9, seed=6), ordered):
+        rows = [scan_distances(9, step.bits) for step in path.steps]
+        assert [dist.tolist() for _, dist, _ in hadamard._step_distances(path)] == rows
         profile = []
-        for t, step in enumerate(path.steps):
-            dist = scan_distances(9, step.bits)
+        for t, dist in enumerate(rows):
             others = min(d for g, d in enumerate(dist) if g not in (path.alpha, path.beta))
             profile.append((t, dist[path.alpha], dist[path.beta], others))
         assert distance_profile(path) == profile
@@ -491,7 +474,7 @@ def test_path_checks_read_chunks_in_step_order(monkeypatch, rows):
         assert (report.ok, report.step, report.gamma, report.distance) == (
             (True, None, None, None) if hit is None else (False, *hit)
         )
-    assert farness_violation(ordered) == (127, 77, Fraction(129, 512))  # past the first chunk
+    assert farness_violation(ordered) == (127, 77, Fraction(129, 512))  # mid-path
 
 
 def test_verifying_an_n12_path_holds_one_chunk_of_distances():
@@ -505,8 +488,21 @@ def test_verifying_an_n12_path_holds_one_chunk_of_distances():
     finally:
         tracemalloc.stop()
     assert len(path.steps) == 2049 and verify_codeword_path(path).ok
-    # one chunk of rows, its masks and the path's own steps, not the whole matrix
-    assert peak < 2 * hadamard.WALK_CHUNK_BYTES < len(path.steps) * (4 << n) / 2
+    # a popcount, a few rows of distances and the path's own steps, not the whole matrix
+    assert peak < 8 << 20 < len(path.steps) * (4 << n) / 2
+
+
+def test_an_n12_distance_profile_holds_a_few_rows_of_distances():
+    n = 12
+    path = generate_codeword_path(40, 333, n, seed=6)  # and the tables are built once per n
+    tracemalloc.start()
+    try:
+        profile = distance_profile(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(profile) == 2049 and profile[0][1:3] == (0, 2048) and profile[-1][1:3] == (2048, 0)
+    assert peak < 4 << 20  # one popcount of the first step, then a row per step
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +524,8 @@ def test_window_gives_the_first_hit_of_the_full_scan(n):
         path = CodewordPath(n, alpha, beta, order)
         for radius in radii:
             hit = find_close_step(path, radius)
-            assert hadamard._window_close(path, radius) == hit
+            half, r = 1 << (n - 1), int(radius * (1 << n))
+            assert find_close_step(path, radius, max(0, half - r), r + 1) == hit
             hits += hit is not None
         hit = farness_violation(path)
         report = verify_codeword_path(path)
@@ -542,17 +539,19 @@ def test_verification_reads_only_the_steps_where_farness_can_fail(monkeypatch):
     # r = floor((1/4 + 1/400) 2^n): steps 127..129 at n = 9, 1014..1034 at n = 12
     paths = [generate_codeword_path(40, 333, n, seed=6) for n in (9, 12)]
     read = []
-    walk = hadamard.walk_distances
+    distances = hadamard.codeword_distances
 
-    def spy(n, steps):
-        read.append(steps)
-        return walk(n, steps)
+    def spy(n, bits, near=None):
+        read.append((bits, near is None))
+        return distances(n, bits, near)
 
-    monkeypatch.setattr(hadamard, "walk_distances", spy)
+    monkeypatch.setattr(hadamard, "codeword_distances", spy)
     assert all(verify_codeword_path(path).ok for path in paths)
+    # a popcount for the first step of each window, then one sign row per step
     assert read == [
-        [step.bits for step in paths[0].steps[127:130]],
-        [step.bits for step in paths[1].steps[1014:1035]],
+        (step.bits, t == 0)
+        for path, window in zip(paths, (slice(127, 130), slice(1014, 1035)))
+        for t, step in enumerate(path.steps[window])
     ]
 
 

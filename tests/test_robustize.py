@@ -429,6 +429,17 @@ def test_extract_and_count_name_a_vertex_without_a_block(monkeypatch):
         count_satisfied(system, partial)
 
 
+def test_extract_refuses_a_block_for_a_vertex_the_system_lacks():
+    inst, _ = _satisfying_walk_instance(seed=13)
+    system = robustize(inst)
+    sigma = system.sigma_ini
+    extra = BlockAssignment(sigma.n, {**sigma.blocks, "zz": had_encode(7, sigma.n)})
+    for t, walk in ((0, [extra]), (1, [sigma, extra]), (2, [sigma, sigma.flip("v1", 3), extra])):
+        with pytest.raises(InstanceError, match=f"^sigma step {t} has a block for vertex 'zz', "
+                                                "which the system does not have$"):
+            extract_psi_sequence(system, walk)
+
+
 def test_moved_assignments_equal_public_ones_and_share_unmoved_blocks():
     sigma = robustize(path_graph_instance(512, [{"u": 0, "v": 1, "w": 2}])).sigma_ini
     moved = sigma.flip("u", 5)
@@ -830,8 +841,8 @@ def test_kept_verdicts_match_fresh_counts_across_the_quarter_and_window(n, offse
 def test_extracting_a_long_n12_walk_holds_one_chunk_of_distances():
     n = 12
     system = robustize(single_edge({(5, 5), (9, 5)}, 1 << n, (5, 5), (5, 5)))
-    # 5 chunks of single-bit steps on vertex u, from had(5) past the midpoint to had(9)
-    steps = 5 * (hadamard.WALK_CHUNK_BYTES // (4 << n))
+    # 1,280 single-bit steps on vertex u, from had(5) past the midpoint to had(9)
+    steps = 1280
     walk = [system.sigma_ini]
     for x in stream(4, "long-walk").sample(sorted(disagreement_set(5, 9, n)), steps):
         walk.append(walk[-1].flip("u", x))
@@ -845,8 +856,8 @@ def test_extracting_a_long_n12_walk_holds_one_chunk_of_distances():
     finally:
         tracemalloc.stop()
     assert extracted == expected
-    # one chunk of rows and the first row's popcount, not the walk's whole matrix
-    assert peak < 2 * hadamard.WALK_CHUNK_BYTES < len(walk) * (4 << n) / 2
+    # a few rows of distances and the first row's popcount, not the walk's whole matrix
+    assert peak < 8 << 20 < len(walk) * (4 << n) / 2
 
 
 def test_soundness_triangle_inequality_witnesses_at_n9():
