@@ -453,21 +453,40 @@ def test_find_close_step_matches_scan_at_n9():
         assert find_close_step(path, far) is None is scan_first_close(path, far)
 
 
-def test_path_checks_read_steps_in_order():
-    # each step's distances are the step before's plus one sign row; the first
-    # hits, profile rows and reports must still be those of a scan of every step
+def _first_close_by_chunks(path, radius, rows):
+    # find_close_step over steps [0, rows), [rows, 2 rows), ... until one hits
+    for start in range(0, len(path.steps), rows):
+        hit = find_close_step(path, radius, start, start + rows)
+        if hit is not None:
+            return hit
+    return None
+
+
+@pytest.mark.parametrize("rows", [1, 7, 100])
+def test_path_checks_read_chunks_in_step_order(rows):
+    # each step's distances are the step before's plus one sign row; read whole or in
+    # step ranges of `rows`, the first hits, profile rows and reports must still be
+    # those of a scan of every step
     far = QUARTER + FARNESS_MARGIN
     ordered = CodewordPath(9, 40, 333, sorted(disagreement_set(40, 333, 9)))
     for path in (generate_codeword_path(40, 333, 9, seed=6), ordered):
-        rows = [scan_distances(9, step.bits) for step in path.steps]
-        assert [dist.tolist() for _, dist, _ in hadamard._step_distances(path)] == rows
+        scanned = [scan_distances(9, step.bits) for step in path.steps]
+        assert [dist.tolist() for _, dist, _ in hadamard._step_distances(path)] == scanned
+        chunked = [
+            (t, dist.tolist())
+            for start in range(0, len(path.steps), rows)
+            for t, dist, _ in hadamard._step_distances(path, start, start + rows)
+        ]
+        assert chunked == list(enumerate(scanned))
         profile = []
-        for t, dist in enumerate(rows):
+        for t, dist in enumerate(scanned):
             others = min(d for g, d in enumerate(dist) if g not in (path.alpha, path.beta))
             profile.append((t, dist[path.alpha], dist[path.beta], others))
         assert distance_profile(path) == profile
         for radius in (Fraction(1, 2), Fraction(9, 20), far):
-            assert find_close_step(path, radius) == scan_first_close(path, radius)
+            hit = scan_first_close(path, radius)
+            assert find_close_step(path, radius) == hit
+            assert _first_close_by_chunks(path, radius, rows) == hit
         hit = scan_first_close(path, far)
         report = verify_codeword_path(path)
         assert farness_violation(path) == hit
