@@ -116,9 +116,9 @@ def reference_tester(
             raise InstanceError(f"satisfying input {s} does not fit in {m} bits")
     vertices = tuple(x_names) + (y_name,)
     edges = tuple((y_name, x) for x in x_names)
-    accepts = tuple(
-        frozenset((j, (s >> i) & 1) for j, s in enumerate(sat_list)) for i in range(m)
-    )
+    sats = np.array(sat_list, dtype=np.int64)  # edge i accepts (j, bit i of input j): code 2j + bit
+    codes = 2 * np.arange(len(sats)) + (sats >> np.arange(m)[:, None] & 1)
+    accepts = tuple(AcceptSet.from_codes(row, (len(sats), 2)) for row in codes)
     graph = ConstraintGraph(
         q=2,
         vertices=vertices,
@@ -258,25 +258,42 @@ class ComposedSystem:
     n: int
 
 
+# Most booleans the twin superimpositions of one composition may broadcast in
+# all: a circuit of m input bits and k satisfying inputs broadcasts m^2 (2k)^2,
+# and its accept codes take up to 6 bytes per boolean.  One n = 3 circuit with
+# 256 satisfying inputs broadcasts 2^26 and peaks at about 510 MB.
+MAX_SUPERIMPOSED_CELLS = 1 << 26
+
+
 def compose_system(system: CircuitSystem) -> ComposedSystem:
     """Run the reference tester twice per circuit and superimpose the twins.
 
     Produces a 4-ary instance over block bits plus two auxiliary variables
     per source edge; per-source-edge hyperedge counts are equalized by
     round-robin duplication.  Endpoints assign blocks from the system's
-    sigma and both auxiliary twins to the completeness witness.
+    sigma and both auxiliary twins to the completeness witness.  Systems
+    whose superimpositions would broadcast more than MAX_SUPERIMPOSED_CELLS
+    booleans are refused before any tester is built.
     """
     if system.n > MICRO_MAX_N:
         raise InstanceError(
             f"composition enumerates satisfying sets; requires n <= {MICRO_MAX_N}"
+        )
+    sats_of = [sat_inputs(c) for c in system.circuits]
+    cells = [(2 << system.n) ** 2 * (2 * len(sats)) ** 2 for sats in sats_of]
+    if sum(cells) > MAX_SUPERIMPOSED_CELLS:
+        worst = max(range(len(cells)), key=cells.__getitem__)
+        raise InstanceError(
+            f"twin superimpositions would broadcast {sum(cells)} cells (largest {cells[worst]} "
+            f"at edge {system.circuits[worst].edge_index}), more than {MAX_SUPERIMPOSED_CELLS}; "
+            "satisfying sets this large are out of composition range"
         )
     composed_edges, groups, overrides = [], [], {}
     trace = ReductionTrace(stage="compose")
     for v in system.graph.vertices:
         for x in range(1 << system.n):
             trace.vertex_origin[bit_name(v, x)] = {"kind": "block-bit", "vertex": v, "position": x}
-    for c in system.circuits:
-        sats = sat_inputs(c)
+    for c, sats in zip(system.circuits, sats_of):
         if not sats:
             raise InstanceError(f"edge {c.edge_index}: circuit has no satisfying inputs")
         x_names = circuit_bits(c)
@@ -753,7 +770,7 @@ def _report(name: str, instance: ReconfInstance, budget: int | None) -> StageRep
         stage=name,
         vertices=len(instance.graph.vertices),
         edges=len(instance.graph.edges),
-        max_alphabet=max(map(instance.graph.alphabet_of, instance.graph.vertices)),
+        max_alphabet=max(instance.graph.alphabets.values()),
         maxmin=maxmin,
         method=method,
     )

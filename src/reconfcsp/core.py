@@ -48,9 +48,9 @@ class AcceptSet:
     they were encoded against.  This class is the only place that layout is
     known: elsewhere a set is built from tuples (an iterable, or rows of a 2-D
     integer array), from codes (`from_codes`), a boolean table (`from_table`)
-    or another set, and read by `len`, `in`, `==` and iteration, which yields
-    the tuples in sorted order.  A set handed alphabets other than its own
-    is re-encoded and range-checked tuple by tuple, never reinterpreted.
+    or another set, and read by `len`, `in`, `==`, a boolean table (`table`) and
+    iteration, which yields the tuples in sorted order.  A set handed alphabets
+    other than its own is re-encoded and range-checked tuple by tuple.
     """
 
     __slots__ = ("_sizes", "_codes", "_view")
@@ -119,6 +119,12 @@ class AcceptSet:
         for coord in reversed(range(len(self._sizes))):
             codes, rows[:, coord] = np.divmod(codes, self._sizes[coord])
         return rows
+
+    def table(self) -> np.ndarray:
+        """The set as a boolean table with one axis per coordinate; a code is its flat index."""
+        table = np.zeros(self._sizes, dtype=bool)
+        table.reshape(-1)[self._codes] = True
+        return table
 
     def __iter__(self):
         return map(tuple, self._rows().tolist())
@@ -288,6 +294,7 @@ class ConstraintGraph:
     coordinate alphabets, re-encoding a set built over other alphabets.
     One object given for several hyperedges over the same alphabets is
     packed once, and those hyperedges hold the same `AcceptSet`.
+    `alphabets` maps each vertex, in declared order, to its alphabet.
     """
 
     q: int
@@ -296,6 +303,7 @@ class ConstraintGraph:
     alphabet: int
     accepts: tuple[AcceptSet, ...]
     vertex_alphabets: Mapping[str, int] = field(default_factory=dict)
+    alphabets: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.q < 1:
@@ -332,9 +340,10 @@ class ConstraintGraph:
                 accepts = shared[key]
             packed.append(accepts)
         object.__setattr__(self, "accepts", tuple(packed))
+        object.__setattr__(self, "alphabets", alpha)
 
     def alphabet_of(self, vertex: str) -> int:
-        return self.vertex_alphabets.get(vertex, self.alphabet)
+        return self.alphabets.get(vertex, self.alphabet)
 
     @cached_property
     def vertex_index(self) -> dict[str, int]:
@@ -351,10 +360,9 @@ class ConstraintGraph:
         """
         edge, accepts = self.edges[edge_index], self.accepts[edge_index]
         distinct = tuple(dict.fromkeys(edge))
-        table = np.zeros([self.alphabet_of(v) for v in distinct], dtype=bool)
         if len(distinct) == len(edge):
-            table.reshape(-1)[accepts.codes] = True  # a code is its tuple's flat index here
-            return distinct, table
+            return distinct, accepts.table()
+        table = np.zeros([self.alphabets[v] for v in distinct], dtype=bool)
         rows = accepts._rows()
         rows = rows[(rows == rows[:, [edge.index(v) for v in edge]]).all(axis=1)]
         table[tuple(rows[:, [edge.index(v) for v in distinct]].T)] = True
@@ -407,15 +415,16 @@ class ReconfInstance:
 
 def check_total(graph: ConstraintGraph, psi: Assignment, where: str = "assignment") -> None:
     """Raise unless `psi` assigns an in-range symbol to every vertex."""
-    for v in graph.vertices:
-        if v not in psi.values:
+    values, alphabets = psi.values, graph.alphabets
+    for v, size in alphabets.items():
+        if v not in values:
             raise InstanceError(f"incomplete assignment: {where} misses vertex {v!r}")
-        sym = psi.values[v]
-        if not 0 <= sym < graph.alphabet_of(v):
+        sym = values[v]
+        if not 0 <= sym < size:
             raise InstanceError(f"{where}: symbol {sym} out of range for vertex {v!r}")
-    for v in psi.values:
-        if v not in graph.vertex_index:
-            raise InstanceError(f"{where}: unknown vertex id {v!r}")
+    if len(values) != len(alphabets):  # every vertex is assigned, so one is unknown
+        v = next(v for v in values if v not in alphabets)
+        raise InstanceError(f"{where}: unknown vertex id {v!r}")
 
 
 def value(graph: ConstraintGraph, psi: Assignment) -> Value:

@@ -13,8 +13,8 @@ codeword while within 2^(n-2) of it, else from the last distances known
 `count_satisfied` keeps the verdicts on a moved block whose symbol stays
 and whose old and new nearest d have d + radius < 2^(n-1).  Spliced walks
 are built with the slot setters, no `with_block` call per step.  Circuits
-stay semantic (a predicate over two blocks); only the micro oracle ever
-materializes their truth tables, and only for n <= 3.
+stay semantic (a predicate over two blocks and the padded graph's own
+`AcceptSet`); only the micro oracle materializes their truth tables, n <= 3.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 from .constants import MIN_SOUND_N, clause_two_radius, quarter_radius
 from .fileio import read_json, write_json
 from .core import (
+    AcceptSet,
     Assignment,
     ConstraintGraph,
     InstanceError,
@@ -83,12 +84,13 @@ class RobustCircuit:
     edge_index: int
     v: str
     w: str
-    pairs: frozenset[tuple[int, int]]
+    pairs: AcceptSet  # over (2^n, 2^n); other iterables of pairs are packed into one
     n: int
     weakened: bool = False  # radius exactly 1/4 in the decoding clause; negative tests only
     radius: int = field(init=False, repr=False, compare=False)  # of the decoding clause
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", AcceptSet(self.pairs, (1 << self.n,) * 2))
         if not self.pairs:
             raise InstanceError(f"edge {self.edge_index}: constraint set must be non-empty")
         object.__setattr__(self, "radius", clause_two_radius(self.n, self.weakened))
@@ -161,8 +163,8 @@ def _verdict(circuit: RobustCircuit, f: _Decoded, g: _Decoded) -> bool:
     if nearest > 1 << (n - 2):  # a block farther than 1/4 from every codeword
         return False
     if nearest + radius < 1 << (n - 1):  # one candidate each
-        return (f.best, g.best) in circuit.pairs
-    return circuit.pairs.issuperset(product(f.candidates(radius), g.candidates(radius)))
+        return circuit.pairs._accepts((f.best, g.best))
+    return all(map(circuit.pairs._accepts, product(f.candidates(radius), g.candidates(radius))))
 
 
 def eval_circuit(circuit: RobustCircuit, f: BitFunction, g: BitFunction) -> bool:
@@ -269,7 +271,7 @@ def robustize(instance: ReconfInstance, weakened: bool = False) -> CircuitSystem
             edge_index=i,
             v=edge[0],
             w=edge[1],
-            pairs=frozenset(graph.accepts[i]),
+            pairs=graph.accepts[i],
             n=n,
             weakened=weakened,
         )
@@ -432,32 +434,24 @@ def concat_blocks(f: BitFunction, g: BitFunction) -> int:
 
 
 @lru_cache(maxsize=None)
-def _side_profiles(n: int, radius: int) -> tuple[tuple[bool, tuple[int, ...]], ...]:
-    """(quarter-close?, candidate symbols) for every possible block at micro n."""
+def _side_profiles(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks 1/4-close to a codeword at micro n, ascending, and their 0/1 candidate rows."""
     quarter = quarter_radius(n)
-    out = []
-    for bits in range(1 << (1 << n)):
-        decoded = _decode(n, bits)
-        out.append((decoded.nearest <= quarter, decoded.candidates(radius)))
-    return tuple(out)
+    close = [d for bits in range(1 << (1 << n)) if (d := _decode(n, bits)).nearest <= quarter]
+    cands = np.array([d.distances() <= radius for d in close], dtype=np.int64)
+    blocks = np.array([d.bits for d in close], dtype=np.int64)
+    blocks.flags.writeable = cands.flags.writeable = False
+    return blocks, cands
 
 
 def sat_inputs(circuit: RobustCircuit) -> tuple[int, ...]:
-    """All concatenated inputs accepted by the circuit, by full enumeration."""
+    """All concatenated inputs accepted by the circuit, ascending, by full enumeration."""
     _micro_guard(circuit.n)
-    n = circuit.n
-    profiles = _side_profiles(n, circuit.radius)
-    length = 1 << n
-    good_f = [
-        (bits, cands) for bits, (ok, cands) in enumerate(profiles) if ok
-    ]
-    sats = []
-    pairs = circuit.pairs
-    for g_bits, g_cands in good_f:
-        for f_bits, f_cands in good_f:
-            if all((a, b) in pairs for a in f_cands for b in g_cands):
-                sats.append(f_bits | (g_bits << length))
-    return tuple(sorted(sats))
+    blocks, cands = _side_profiles(circuit.n, circuit.radius)
+    rejected = (~circuit.pairs.table()).astype(np.int64)
+    # f.g is accepted iff no candidate pair is rejected; g-major order is ascending
+    g, f = np.nonzero((cands @ rejected @ cands.T).T == 0)
+    return tuple((blocks[f] | blocks[g] << (1 << circuit.n)).tolist())
 
 
 def micro_distance_to_sat(circuit: RobustCircuit, f: BitFunction, g: BitFunction) -> Fraction:
@@ -466,8 +460,7 @@ def micro_distance_to_sat(circuit: RobustCircuit, f: BitFunction, g: BitFunction
     if f.n != circuit.n or g.n != circuit.n:
         raise InstanceError("length mismatch: blocks do not match the circuit")
     point = concat_blocks(f, g)
-    sats = sat_inputs(circuit)
-    best = min((point ^ s).bit_count() for s in sats)
+    best = min((point ^ s).bit_count() for s in sat_inputs(circuit))
     return Fraction(best, 2 * f.length)
 
 
@@ -519,8 +512,8 @@ def materialize_micro_csp(system: CircuitSystem) -> ReconfInstance:
     """Express the circuit system as a (2*2^n)-ary constraint graph over bits.
 
     Only possible at micro scale: each circuit's accepted inputs are written
-    out as explicit bit tuples.  Single-vertex moves on the result are
-    exactly single-bit moves on the block assignment.
+    out as rows of bits.  Single-vertex moves on the result are exactly
+    single-bit moves on the block assignment.
     """
     _micro_guard(system.n)
     width = 2 << system.n
@@ -530,7 +523,7 @@ def materialize_micro_csp(system: CircuitSystem) -> ReconfInstance:
         edges=tuple(circuit_bits(c) for c in system.circuits),
         alphabet=2,
         accepts=tuple(
-            frozenset(tuple((bits >> i) & 1 for i in range(width)) for bits in sat_inputs(c))
+            np.array(sat_inputs(c), dtype=np.int64)[:, None] >> np.arange(width) & 1
             for c in system.circuits
         ),
     )
@@ -554,7 +547,7 @@ def system_to_obj(system: CircuitSystem) -> dict:
             {
                 "id": c.edge_index,
                 "vertices": [c.v, c.w],
-                "accept": [list(p) for p in sorted(c.pairs)],
+                "accept": [list(p) for p in c.pairs],
             }
             for c in system.circuits
         ],
@@ -640,11 +633,11 @@ def read_system(directory: str | Path) -> CircuitSystem:
                     )
         vertices = tuple(obj["vertices"])
         edges = tuple(tuple(e["vertices"]) for e in obj["edges"])
-        accepts = tuple(frozenset(map(tuple, e["accept"])) for e in obj["edges"])
+        accepts = tuple(e["accept"] for e in obj["edges"])
         graph = ConstraintGraph(q=2, vertices=vertices, edges=edges, alphabet=1 << n, accepts=accepts)
         circuits = tuple(
             RobustCircuit(e["id"], edge[0], edge[1], pairs, n, weakened=weakened)
-            for e, edge, pairs in zip(obj["edges"], edges, accepts)
+            for e, edge, pairs in zip(obj["edges"], edges, graph.accepts)
         )
     except KeyError as exc:
         raise InstanceError(f"{source}: missing key {exc.args[0]!r}") from None

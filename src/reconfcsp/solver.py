@@ -45,7 +45,7 @@ class BudgetExceededError(InstanceError):
 
 
 def state_space_size(graph: ConstraintGraph) -> int:
-    return math.prod(map(graph.alphabet_of, graph.vertices))
+    return math.prod(graph.alphabets.values())
 
 
 def _count_table(graph: ConstraintGraph, budget: int) -> memoryview:
@@ -65,7 +65,7 @@ def _count_table(graph: ConstraintGraph, budget: int) -> memoryview:
             f"instance too large for exact search: {size} states exceed budget {budget}"
         )
     index = graph.vertex_index
-    sizes = [graph.alphabet_of(v) for v in graph.vertices]
+    sizes = list(graph.alphabets.values())
     dtype = np.min_scalar_type(len(graph.edges))
     groups: dict[tuple[int, ...], np.ndarray] = {}
     for j in range(len(graph.edges)):
@@ -87,11 +87,10 @@ def _witness(graph: ConstraintGraph, parents: dict[int, int], state_id: int) -> 
     while state_id != -1:
         chain.append(state_id)
         state_id = parents[state_id]
-    sizes = [graph.alphabet_of(v) for v in graph.vertices]
     steps = []
     for state_id in reversed(chain):
         symbols = {}
-        for v, size in zip(graph.vertices, sizes):
+        for v, size in graph.alphabets.items():
             state_id, symbols[v] = divmod(state_id, size)
         steps.append(Assignment(symbols))
     return ReconfigSequence(tuple(steps))
@@ -112,7 +111,7 @@ def _search(
     graph = instance.graph
     moves = []  # (stride, alphabet) of each vertex, in vertex order
     stride = 1
-    for size in map(graph.alphabet_of, graph.vertices):
+    for size in graph.alphabets.values():
         moves.append((stride, size))
         stride *= size
     ini_id, tar_id = (
@@ -205,7 +204,7 @@ def dfs_maxmin(instance: ReconfInstance, limit: int = 4096) -> Value:
             f"instance too large for exact search: {state_space_size(graph)} states exceed {limit}"
         )
     names = list(graph.vertices)
-    sizes = {v: graph.alphabet_of(v) for v in names}
+    sizes = graph.alphabets
     accepted = [set(acc) for acc in graph.accepts]
 
     def count_satisfied(assign: dict[str, int]) -> int:

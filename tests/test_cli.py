@@ -644,3 +644,19 @@ def test_generate_bounds_every_size_before_allocating(tmp_path, flag, argv):
     """Vertex names, edges, walk steps and extra tuples are each bounded before
     any is built; unbounded, each of these ends in a MemoryError under the cap."""
     test_size_guards_refuse_before_allocating(tmp_path, flag, ["generate", *argv, "--out", "OUT"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["compose", "--system", "SYS", "--out", "OUT"],
+    ["pipeline", "--instance", "INST", "--mode", "micro", "--out", "OUT"],
+], ids=["compose", "pipeline-micro"])
+def test_composition_refuses_large_satisfying_sets_before_allocating(tmp_path, argv):
+    """This n = 3 system's circuits accept 768 and 1,296 inputs, so their twin
+    superimpositions would broadcast about 2.3e9 booleans; unbounded, each
+    command ends in a MemoryError under the cap."""
+    files = {"INST": tmp_path / "inst.json", "SYS": tmp_path / "sys"}
+    assert run("generate", "--kind", "path-graph", "--vertices", 3, "--alphabet", 8, "--satisfiable",
+               "--walk", 2, "--seed", 5, "--out", files["INST"]) == 0
+    assert run("robustize", "--instance", files["INST"], "--out", files["SYS"]) == 0
+    test_size_guards_refuse_before_allocating(
+        tmp_path, "out of composition range", [files.get(a, a) for a in argv])

@@ -909,6 +909,23 @@ def test_micro_distance_positive_example():
     assert micro_distance_to_sat(c, f, g) == expected
 
 
+@pytest.mark.parametrize("n, pairs, weakened", [
+    (2, {(0, 1), (1, 3), (2, 2), (3, 0)}, False),
+    (2, {(0, 0), (0, 1), (0, 2), (1, 0), (2, 3)}, True),
+    (3, {(0, 5), (1, 2), (2, 2), (5, 1), (6, 7), (7, 0)}, False),
+    (3, {(0, 0), (0, 1), (1, 0), (1, 1), (3, 4), (6, 2)}, True),
+], ids=["n2", "n2-weakened", "n3", "n3-weakened"])
+def test_sat_inputs_match_exhaustive_eval_circuit(n, pairs, weakened):
+    # asymmetric constraints, so a satisfying set read with the blocks' roles
+    # swapped (the constraint transposed) differs from the true one
+    assert pairs != {(b, a) for a, b in pairs}
+    c = circuit(pairs, n=n, weakened=weakened)
+    blocks = [BitFunction(n, bits) for bits in range(1 << (1 << n))]
+    sats = [concat_blocks(f, g) for g in blocks for f in blocks if eval_circuit(c, f, g)]
+    assert list(sat_inputs(c)) == sats
+    assert sat_inputs(c) != sat_inputs(circuit({(b, a) for a, b in pairs}, n=n, weakened=weakened))
+
+
 def test_micro_distance_swap_transpose_symmetry():
     pairs = {(0, 1), (2, 3), (1, 1)}
     c = circuit(pairs, n=2)
