@@ -495,6 +495,9 @@ def _cell_edge_codes(valid: np.ndarray, which: np.ndarray, low, high, size: int)
 # Largest coordinate-value product space held as one boolean accept table.
 _TABLE_COORDINATES = 1 << 20
 
+# Largest total of cell alphabets `arity_reduce` materializes.
+CELL_BUDGET = 1 << 22
+
 
 class _TypeMemo:
     """Each hyperedge type's four binary accept sets, kept across `arity_reduce` calls.
@@ -538,7 +541,7 @@ class _TypeMemo:
 _TYPES = _TypeMemo(cap=16 << 20)
 
 
-def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityReduction:
+def arity_reduce(inst4: ReconfInstance) -> ArityReduction:
     """Approximation-preserving reduction from 4-ary to binary constraints.
 
     Each hyperedge gets a cell vertex holding one unordered value pair per
@@ -554,7 +557,7 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
     distinct hyperedge type (repetition pattern, alphabets, accepted
     tuples), and hyperedges alike share their four binary accept sets; the
     sets of each type are kept for later calls in `_TYPES`.  Cell alphabets
-    are summed up front from the alphabet sizes: exceeding `cell_budget`
+    are summed up front from the alphabet sizes: exceeding `CELL_BUDGET`
     fails fast before any pair list is built or any cell enumerated, since
     materializing the binary accept sets at that size would thrash rather
     than finish.  A hyperedge whose coordinate-value
@@ -570,11 +573,11 @@ def arity_reduce(inst4: ReconfInstance, cell_budget: int = 1 << 22) -> ArityRedu
         for sizes in dict.fromkeys(acc.sizes for acc in graph.accepts)
     }
     alphabets = [cell_alphabet[acc.sizes] for acc in graph.accepts]
-    if sum(alphabets) > cell_budget:
+    if sum(alphabets) > CELL_BUDGET:
         worst = max(range(len(alphabets)), key=alphabets.__getitem__)
         raise InstanceError(
             f"cell alphabets total {sum(alphabets)} (largest {alphabets[worst]} at "
-            f"hyperedge {worst}), exceeding the budget {cell_budget}; "
+            f"hyperedge {worst}), exceeding the budget {CELL_BUDGET}; "
             "constraints this rich are out of materialization range"
         )
     wide = {sizes for sizes in cell_alphabet if math.prod(sizes) > _TABLE_COORDINATES}

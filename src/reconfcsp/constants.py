@@ -5,7 +5,6 @@ allowed to re-derive these values with floats.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 # Farness margin for codeword reconfiguration paths.
 FARNESS_MARGIN = Fraction(1, 400)
@@ -30,7 +29,6 @@ DEFAULT_BUDGET = 2**24
 CLAUSE_TWO = QUARTER + FARNESS_MARGIN / 2
 
 
-@lru_cache(maxsize=64)
 def clause_two_radius(n: int, weakened: bool = False) -> int:
     """Hamming radius of the decoding clause of a robust circuit.
 

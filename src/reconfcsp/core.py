@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,8 +48,11 @@ class AcceptSet:
     known: elsewhere a set is built from tuples (an iterable, or rows of a 2-D
     integer array), from codes (`from_codes`), a boolean table (`from_table`)
     or another set, and read by `len`, `in`, `==`, a boolean table (`table`) and
-    iteration, which yields the tuples in sorted order.  A set handed alphabets
-    other than its own is re-encoded and range-checked tuple by tuple.
+    iteration, which yields the tuples in sorted order.  Tuples, and a set
+    handed alphabets other than its own, are range-checked and encoded as
+    one row array; a symbol is an `int` or numpy integer, never a bool.  An
+    error names `accept[t]`, the t-th tuple in the order given, or in sorted
+    order for a `set` or `frozenset`.
     """
 
     __slots__ = ("_sizes", "_codes", "_view")
@@ -151,45 +153,46 @@ def _make(sizes: tuple[int, ...], codes: np.ndarray) -> AcceptSet:
 
 
 def _pack(tuples, sizes: tuple[int, ...], names) -> AcceptSet:
-    """`tuples` as an AcceptSet over `sizes`; errors name `accept[t]` and, given, vertex `names`."""
+    """`tuples` as an AcceptSet over `sizes`; errors name `accept[t]` and, given, vertex `names`.
+
+    All but a set over `sizes` reach `_pack_rows` as rows, row t being tuple
+    t in the order given, or in sorted order for a `set` or `frozenset`.
+    """
     _code_space(sizes)
-    if type(tuples) not in _TUPLE_COLLECTIONS:
-        if isinstance(tuples, AcceptSet):
-            if tuples.sizes == sizes:
-                return tuples
-            tuples = tuples._rows()
-        if isinstance(tuples, np.ndarray):
-            return _pack_rows(tuples, sizes, names)
-        tuples = list(tuples)
-    codes = _encode(tuples, sizes)
-    if codes is None:
-        raise _tuple_error(tuples, sizes, names)
-    return _make(sizes, np.array(sorted(set(codes)), dtype=np.int64))
+    if isinstance(tuples, AcceptSet):
+        if tuples.sizes == sizes:
+            return tuples
+        tuples = tuples._rows()
+    elif not isinstance(tuples, np.ndarray):
+        tuples = _tuple_rows(tuples, sizes, names)
+    return _pack_rows(tuples, sizes, names)
 
 
-# Containers of tuples that `_pack` reads twice (to encode, then to name an error).
-_TUPLE_COLLECTIONS = (frozenset, set, list, tuple)
+def _tuple_rows(tuples, sizes: tuple[int, ...], names) -> np.ndarray:
+    """Python tuples as a (count, q) int64 array, by one type scan and one np.array call.
+
+    Types are scanned first, because the conversion would turn 0.5 or True
+    into an integer; rows that fail the scan are named by `_tuple_error`.
+    """
+    rows = list(tuples)
+    if isinstance(tuples, (set, frozenset)):
+        try:
+            rows = sorted(rows)
+        except TypeError:  # rows that do not sort are counted as they iterate
+            pass
+    if _all_of(rows, (tuple, list, np.ndarray)) and set(map(len, rows)) <= {len(sizes)}:
+        symbols = list(chain.from_iterable(rows))
+        if _all_of(symbols, (int, np.integer)):
+            try:
+                return np.array(symbols, dtype=np.int64).reshape(len(rows), len(sizes))
+            except OverflowError:  # a symbol beyond int64 is out of range for every alphabet
+                pass
+    raise _tuple_error(rows, sizes, names)
 
 
-def _encode(rows, sizes: tuple[int, ...]) -> list[int] | None:
-    """Codes of `rows`, or None unless every row is a tuple of in-range integers."""
-    q = len(sizes)
-    codes = []
-    try:
-        for tup in rows:
-            if len(tup) != q:
-                return None
-            code = 0
-            for sym, size in zip(tup, sizes):
-                if not 0 <= sym < size:
-                    return None
-                code = code * size + sym
-            codes.append(code)
-        if set(map(type, codes)) - {int}:
-            codes = list(map(operator.index, codes))
-    except TypeError:
-        return None
-    return codes
+def _all_of(items, kinds: tuple[type, ...]) -> bool:
+    """Whether every item is an instance of `kinds` and none is a bool, scanning types once."""
+    return all(kind is not bool and issubclass(kind, kinds) for kind in set(map(type, items)))
 
 
 def _out_of_range(t: int, sym, coord: int, size: int, names) -> InstanceError:
@@ -198,18 +201,18 @@ def _out_of_range(t: int, sym, coord: int, size: int, names) -> InstanceError:
 
 
 def _tuple_error(rows, sizes: tuple[int, ...], names) -> InstanceError:
-    """The error for the first bad tuple, counted in sorted order when the tuples sort."""
-    try:
-        rows = sorted(rows)
-    except TypeError:
-        rows = list(rows)
+    """The error for the first bad row, counting rows in the order given (a set's arrive sorted).
+
+    A row is a tuple, list or 1-D array of one symbol per coordinate; a
+    symbol is an `int` or a numpy integer, not a bool, within its alphabet.
+    """
     for t, tup in enumerate(rows):
         if not isinstance(tup, (tuple, list, np.ndarray)):
             return InstanceError(f"accept[{t}]: expected a tuple of symbols, got {tup!r:.40}")
         if len(tup) != len(sizes):
             return InstanceError(f"accept[{t}]: arity mismatch")
         for coord, (sym, size) in enumerate(zip(tup, sizes)):
-            if not isinstance(sym, (int, np.integer)):
+            if type(sym) is bool or not isinstance(sym, (int, np.integer)):
                 return InstanceError(f"accept[{t}]: symbol {sym!r:.40} is not an integer")
             if not 0 <= sym < size:
                 return _out_of_range(t, sym, coord, size, names)
@@ -222,17 +225,15 @@ def _pack_rows(rows: np.ndarray, sizes: tuple[int, ...], names) -> AcceptSet:
         raise _tuple_error(rows.tolist(), sizes, names)
     if rows.dtype.kind not in "iu":
         raise InstanceError(f"accept: symbols must be integers, got dtype {rows.dtype}")
-    bad = rows < 0
-    for coord, size in enumerate(sizes):
-        bad[:, coord] |= rows[:, coord] >= size
-    if bad.any():
+    symbols = rows.astype(np.int64, copy=False)
+    # read unsigned, a negative symbol is at least 2^63: one comparison checks both bounds
+    bad = symbols.view(np.uint64) >= np.array(sizes, dtype=np.uint64)
+    if np.count_nonzero(bad):
         t, coord = (int(i) for i in np.argwhere(bad)[0])
         raise _out_of_range(t, rows[t, coord], coord, sizes[coord], names)
-    rows = rows.astype(np.int64, copy=False)
-    codes = np.zeros(len(rows), dtype=np.int64)
-    for coord, size in enumerate(sizes):
-        codes = codes * size + rows[:, coord]
-    if len(codes) and not (codes[1:] > codes[:-1]).all():
+    place = [math.prod(sizes[coord + 1 :]) for coord in range(len(sizes))]
+    codes = symbols @ np.array(place, dtype=np.int64)
+    if np.count_nonzero(codes[1:] <= codes[:-1]):
         codes = np.unique(codes)
     return _make(sizes, codes)
 
@@ -540,28 +541,6 @@ def _require(obj: dict, key: str, where: str, kind: type | None = None):
     return found
 
 
-def _accept_rows(rows: list, q: int, where: str):
-    """A JSON accept list as a (count, q) int64 array made by one np.array call.
-
-    Types are checked first, because the conversion would silently turn
-    0.5 or true into an integer.  Rows of the wrong length, or symbols
-    beyond int64, are handed on as lists for the graph to name.
-    """
-    if set(map(type, rows)) - {list}:
-        t = next(t for t, row in enumerate(rows) if type(row) is not list)
-        raise InstanceError(f"{where}[{t}]: expected a list, got {rows[t]!r:.40}")
-    symbols = list(chain.from_iterable(rows))
-    if set(map(type, symbols)) - {int}:
-        t, sym = next((t, s) for t, row in enumerate(rows) for s in row if type(s) is not int)
-        raise InstanceError(f"{where}[{t}]: symbol {sym!r:.40} is not an integer")
-    if set(map(len, rows)) - {q}:
-        return rows
-    try:
-        return np.array(symbols, dtype=np.int64).reshape(len(rows), q)
-    except OverflowError:
-        return rows
-
-
 def graph_from_obj(obj: dict, where: str = "instance") -> ConstraintGraph:
     q = _require(obj, "arity", where, int)
     alphabet = _require(obj, "alphabet", where, int)
@@ -587,10 +566,8 @@ def graph_from_obj(obj: dict, where: str = "instance") -> ConstraintGraph:
         if set(map(type, edge)) - {str}:
             raise InstanceError(f"{path}.vertices: vertex ids must be strings")
         edges.append(edge)
-        rows = entry.get("accept")
-        if type(rows) is not np.ndarray:  # arrays come from `_written_layout` only
-            rows = _accept_rows(_require(entry, "accept", path, list), q, f"{path}.accept")
-        accepts.append(rows)
+        rows = entry.get("accept")  # an array only from `_written_layout`
+        accepts.append(rows if type(rows) is np.ndarray else _require(entry, "accept", path, list))
     try:
         return ConstraintGraph(
             q=q,

@@ -607,14 +607,23 @@ def write_system(system: CircuitSystem, directory: str | Path) -> None:
     write_json(directory / "sigma_tar.json", blocks_to_obj(system.sigma_tar))
 
 
+# Each edge object's fields: (key, JSON type, how a message names it).
+_EDGE_FIELDS = (("id", int, "an integer"), ("vertices", list, "a list"), ("accept", list, "a list"))
+
+
 def read_system(directory: str | Path) -> CircuitSystem:
     directory = Path(directory)
     source = directory / "system.json"
     obj = read_json(source)
     try:
+        if type(obj) is not dict:
+            raise ValueError(f"top level must be an object, got {obj!r:.40}")
         n = obj["n"]
         if type(n) is not int or not 2 <= n <= MAX_N:
             raise ValueError(f'"n" must be an integer in 2..{MAX_N}, got {n!r:.40}')
+        alphabet = obj.get("alphabet", 1 << n)
+        if type(alphabet) is not int or alphabet != 1 << n:
+            raise ValueError(f'"alphabet" must be 2^n = {1 << n}, got {alphabet!r:.40}')
         weakened = obj.get("weakened", False)
         if type(weakened) is not bool:
             raise ValueError(f'"weakened" must be true or false, got {weakened!r:.40}')
@@ -623,21 +632,24 @@ def read_system(directory: str | Path) -> CircuitSystem:
             raise ValueError(
                 f'"original_alphabet" must be an integer >= 2, got {original_alphabet!r:.40}'
             )
-        for i, e in enumerate(obj["edges"]):
-            if type(e["id"]) is not int:
-                raise ValueError(f'edges[{i}]: "id" must be an integer, got {e["id"]!r:.40}')
-            for t, row in enumerate(e["accept"]):
-                if type(row) is not list or set(map(type, row)) - {int}:
-                    raise ValueError(
-                        f"edges[{i}].accept[{t}]: expected a list of integers, got {row!r:.40}"
-                    )
-        vertices = tuple(obj["vertices"])
-        edges = tuple(tuple(e["vertices"]) for e in obj["edges"])
-        accepts = tuple(e["accept"] for e in obj["edges"])
+        vertices, edge_objs = obj["vertices"], obj["edges"]
+        if type(vertices) is not list or set(map(type, vertices)) - {str}:
+            raise ValueError(f'"vertices" must be a list of strings, got {vertices!r:.40}')
+        if type(edge_objs) is not list:
+            raise ValueError(f'"edges" must be a list, got {edge_objs!r:.40}')
+        for i, e in enumerate(edge_objs):
+            if type(e) is not dict:
+                raise ValueError(f"edges[{i}] must be an object, got {e!r:.40}")
+            for key, kind, what in _EDGE_FIELDS:
+                if type(e[key]) is not kind:
+                    raise ValueError(f'edges[{i}]: "{key}" must be {what}, got {e[key]!r:.40}')
+        vertices = tuple(vertices)
+        edges = tuple(tuple(e["vertices"]) for e in edge_objs)
+        accepts = tuple(e["accept"] for e in edge_objs)
         graph = ConstraintGraph(q=2, vertices=vertices, edges=edges, alphabet=1 << n, accepts=accepts)
         circuits = tuple(
             RobustCircuit(e["id"], edge[0], edge[1], pairs, n, weakened=weakened)
-            for e, edge, pairs in zip(obj["edges"], edges, graph.accepts)
+            for e, edge, pairs in zip(edge_objs, edges, graph.accepts)
         )
     except KeyError as exc:
         raise InstanceError(f"{source}: missing key {exc.args[0]!r}") from None

@@ -208,7 +208,19 @@ _MALFORMED = {
     "system-id-float": 'system.json: edges[0]: "id" must be an integer, got 2.5',
     "system-original-alphabet-string": 'system.json: "original_alphabet" must be an integer >= 2',
     # false would load as the symbol 0
-    "system-accept-bool": "system.json: edges[0].accept[1]: expected a list of integers, got [3, False]",
+    "system-accept-bool": "system.json: edges[0].accept[1]: symbol False is not an integer",
+    "system-top-level-list": "system.json: top level must be an object, got [",
+    "system-edges-object": 'system.json: "edges" must be a list, got {}',
+    "system-edges-int": 'system.json: "edges" must be a list, got 5',
+    "system-vertices-int": 'system.json: "vertices" must be a list of strings, got 5',
+    # the reader of sigma_ini.json would be blamed for the missing vertex 0
+    "system-vertex-id-int": 'system.json: "vertices" must be a list of strings, got [0, \'w\']',
+    "system-edge-int": "system.json: edges[0] must be an object, got 5",
+    "system-edge-accept-int": 'system.json: edges[0]: "accept" must be a list, got 3',
+    "system-edge-vertices-int": 'system.json: edges[0]: "vertices" must be a list, got 3',
+    # an alphabet other than 2^n was ignored
+    "system-alphabet-int": 'system.json: "alphabet" must be 2^n = 4, got 8',
+    "system-alphabet-string": 'system.json: "alphabet" must be 2^n = 4, got \'x\'',
     "system-truncated": "system.json: malformed JSON (",
     "walk-truncated": "walk.json: malformed JSON (",
     "walk-float-symbol": "walk.json: sequence.steps[0].u: symbol 1.5 is not an integer",
@@ -228,6 +240,15 @@ _SYSTEM_EDITS = {
     "system-id-float": lambda obj: obj["edges"][0].update(id=2.5),
     "system-original-alphabet-string": lambda obj: obj.update(original_alphabet="x"),
     "system-accept-bool": lambda obj: obj["edges"][0]["accept"].append([3, False]),
+    "system-edges-object": lambda obj: obj.update(edges={}),
+    "system-edges-int": lambda obj: obj.update(edges=5),
+    "system-vertices-int": lambda obj: obj.update(vertices=5),
+    "system-vertex-id-int": lambda obj: obj.update(vertices=[0, "w"]),
+    "system-edge-int": lambda obj: obj["edges"].__setitem__(0, 5),
+    "system-edge-accept-int": lambda obj: obj["edges"][0].update(accept=3),
+    "system-edge-vertices-int": lambda obj: obj["edges"][0].update(vertices=3),
+    "system-alphabet-int": lambda obj: obj.update(alphabet=8),
+    "system-alphabet-string": lambda obj: obj.update(alphabet="x"),
 }
 
 
@@ -254,6 +275,8 @@ def test_malformed_sigma_and_system_files_exit_2(tmp_path, capsys, case):
         system_json.write_text(json.dumps(obj))
     elif case == "system-truncated":
         system_json.write_text(system_json.read_text()[:40])
+    elif case == "system-top-level-list":
+        system_json.write_text(f"[{system_json.read_text()}]")
     if case == "system-without-n":
         argv = ["compose", "--system", sys_dir, "--out", tmp_path / "composed"]
     elif case in _WALKS:
@@ -271,6 +294,22 @@ def test_malformed_sigma_and_system_files_exit_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and _MALFORMED[case] in err and "Traceback" not in err
     if not case.startswith(("system-", "walk-")):
         assert "sigma.json" in err
+
+
+def test_verify_sequence_marks_a_step_that_flips_two_bits(tmp_path, capsys):
+    from conftest import single_edge
+
+    inst_path = tmp_path / "inst.json"
+    write_text_atomic(inst_path, core.serialize(single_edge({(0, 0)}, 4, (0, 0), (0, 0))))
+    sys_dir = tmp_path / "sys"
+    assert run("robustize", "--instance", inst_path, "--out", sys_dir) == 0
+    good = json.loads((sys_dir / "sigma_ini.json").read_text())  # n = 2: one hex digit
+    two_bits = {**good, "u": format(int(good["u"], 16) ^ 3, "x")}
+    capsys.readouterr()
+    assert run("verify-sequence", "--system", sys_dir,
+               "--sigma", _sigma_file(tmp_path, {"steps": [good, two_bits]})) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["step 0: 1/1 circuits satisfied", "step 1: INVALID (more than one bit changed)"]
 
 
 def _tweak_accept_row(obj, row):
@@ -297,6 +336,17 @@ def test_malformed_instance_json_exits_2(tmp_path, capsys, case):
     assert run("solve", "--instance", path) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: instance") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("row, symbol", [([True, 0], "True"), ([0, 0.5], "0.5")])
+def test_json_accept_symbol_of_another_type_exits_2_naming_its_row(tmp_path, capsys, row, symbol):
+    obj = json.loads(core.serialize(triangle_equality()))
+    obj["edges"][1]["accept"][1] = row
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    assert run("solve", "--instance", path) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: instance: edges[1].accept[1]: symbol {symbol} is not an integer\n"
 
 
 def test_truncated_instance_names_its_file(tmp_path, capsys):

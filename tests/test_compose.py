@@ -588,8 +588,9 @@ def test_reducing_twice_enumerates_once_and_writes_the_same_bytes(monkeypatch):
     assert 0 < enumerated < len(inst.graph.edges)
     assert _binary_text(inst) == first
     assert len(calls) == enumerated  # every type came from the memo
+    monkeypatch.setattr(compose, "CELL_BUDGET", len(inst.graph.edges))
     with pytest.raises(InstanceError, match="exceeding the budget"):
-        arity_reduce(inst, cell_budget=len(inst.graph.edges))
+        arity_reduce(inst)
 
 
 def test_lean_seed7_reduction_after_unrelated_instances_equals_a_fresh_one(monkeypatch):
@@ -680,21 +681,35 @@ def test_superimpose_keeps_one_accept_set_per_distinct_table():
     assert len({id(acc) for acc in graph.accepts}) == len(contents) == 25
 
 
+def test_arity_reduce_renames_a_cell_that_a_source_vertex_already_names():
+    inst = _four_ary(CHAIN, (0, 0, 0, 0), (1, 1, 1, 1), vertices=("cell0", "q", "r", "s"))
+    reduction = arity_reduce(inst)
+    graph = reduction.instance.graph
+    assert graph.vertices == ("cell0", "q", "r", "s", "cell0'")
+    assert graph.edges[0] == ("cell0'", "cell0")
+    assert graph.alphabet_of("cell0") == 2 and graph.alphabet_of("cell0'") == 81
+    assert reduction.trace.vertex_origin["cell0"] == {"kind": "source-vertex", "vertex": "cell0"}
+    assert reduction.trace.vertex_origin["cell0'"] == {"kind": "cell", "hyperedge": 0}
+    assert value(graph, reduction.instance.psi_ini) == value(graph, reduction.instance.psi_tar) == 1
+
+
 def test_arity_reduce_requires_arity_four():
     inst = single_edge({(0, 0)}, 2, (0, 0), (0, 0))
     with pytest.raises(InstanceError, match="arity must be exactly 4"):
         arity_reduce(inst)
 
 
-def test_arity_reduce_budget_fails_fast():
+def test_arity_reduce_budget_fails_fast(monkeypatch):
     inst = _four_ary(CHAIN, (0, 0, 0, 0), (1, 1, 1, 1))
+    monkeypatch.setattr(compose, "CELL_BUDGET", 10)
     with pytest.raises(InstanceError, match="exceeding the budget"):
-        arity_reduce(inst, cell_budget=10)
+        arity_reduce(inst)
     # 33^4 coordinate values exceed the bitmask range: refused before any
     # of the ~10^11 cell values is looked at, whatever the cell budget
     wide = _four_ary([(0, 0, 0, 0)], (0, 0, 0, 0), (0, 0, 0, 0), alphabet=33)
+    monkeypatch.setattr(compose, "CELL_BUDGET", 1 << 40)
     with pytest.raises(InstanceError, match="hyperedge 0: coordinate space 1185921"):
-        arity_reduce(wide, cell_budget=1 << 40)
+        arity_reduce(wide)
 
 
 # A hyperedge over alphabets 2, 2, 2 and 20000 has 27 * 200010000 cell values,
@@ -876,6 +891,15 @@ def test_full_pipeline_errors_are_stage_tagged():
         full_pipeline(bad, "micro")
     with pytest.raises(InstanceError, match="unknown pipeline mode"):
         full_pipeline(single_edge({(0, 0)}, 4, (0, 0), (0, 0)), "macro")
+
+
+def test_full_pipeline_refuses_a_mode_the_padded_alphabet_does_not_fit():
+    with pytest.raises(InstanceError, match=r"alphabet 16 pads to n=4; micro mode requires n <= 3"):
+        full_pipeline(single_edge({(0, 0)}, 16, (0, 0), (0, 0)), "micro")
+    inst = single_edge({(0, 0)}, 4, (0, 0), (0, 0))
+    walk = ReconfigSequence((inst.psi_ini,))
+    with pytest.raises(InstanceError, match=r"n9 mode expects alphabet 512, got n=2"):
+        full_pipeline(inst, "n9", psi_seq=walk)
 
 
 def _n9_instance_and_walk():

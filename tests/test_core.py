@@ -276,6 +276,14 @@ def test_deserialize_unknown_vertex(triangle):
         deserialize(json.dumps(obj))
 
 
+def test_check_total_names_an_assigned_vertex_the_graph_lacks(triangle):
+    psi = Assignment({**triangle.psi_ini.values, "zz": 0})
+    with pytest.raises(InstanceError, match="^psi: unknown vertex id 'zz'$"):
+        core.check_total(triangle.graph, psi, where="psi")
+    with pytest.raises(InstanceError, match="^assignment: unknown vertex id 'zz'$"):
+        value(triangle.graph, psi)
+
+
 # ---------------------------------------------------------------------------
 # The reader's fast path for the layout `serialize` writes
 # ---------------------------------------------------------------------------
@@ -398,7 +406,7 @@ def test_written_pipeline_instances_take_the_fast_path():
 
     composed = compose_system(robustize(single_edge({(0, 1), (1, 1)}, 4, (0, 1), (1, 1))))
     binary = arity_reduce(composed.instance).instance
-    with mock.patch.object(core, "_accept_rows", side_effect=AssertionError("slow path")):
+    with mock.patch.object(core, "_tuple_rows", side_effect=AssertionError("slow path")):
         for inst in (composed.instance, binary):
             text = serialize(inst)
             back = deserialize(text)
@@ -492,6 +500,31 @@ def test_accept_set_from_tuples_rejects(tuples, message):
     with pytest.raises(InstanceError) as caught:
         AcceptSet(tuples, (4, 4))
     assert str(caught.value) == message
+
+
+def test_accept_set_refuses_bool_symbols_in_python_tuples():
+    for tuples in ([(True, 0)], [(0, 1), (1, np.True_)], {(0, False)}):
+        with pytest.raises(InstanceError, match=r"^accept\[\d\]: symbol (np\.)?(True|False)_? is "
+                                                "not an integer$"):
+            AcceptSet(tuples, (4, 4))
+    assert list(AcceptSet([(np.int8(1), 0), (2, np.uint64(3))], (4, 4))) == [(1, 0), (2, 3)]
+
+
+def test_accept_set_counts_a_list_as_given_and_a_set_sorted():
+    tuples = [(2, 0), (3, 9), (0, 7), (1, 1)]
+    out_of_range = "symbol {} out of range for coordinate 1 (alphabet 4)"
+    for given, message in (
+        (tuples, "accept[1]: " + out_of_range.format(9)),
+        (set(tuples), "accept[0]: " + out_of_range.format(7)),
+        (frozenset(tuples), "accept[0]: " + out_of_range.format(7)),
+        (iter(tuples[::-1]), "accept[1]: " + out_of_range.format(7)),
+        (np.array(tuples), "accept[1]: " + out_of_range.format(9)),
+        ([(2, 0), "ab", (0, 7)], "accept[1]: expected a tuple of symbols, got 'ab'"),
+        ({(2, 0), (0, 1, 2), (1,)}, "accept[0]: arity mismatch"),
+    ):
+        with pytest.raises(InstanceError) as caught:
+            AcceptSet(given, (4, 4))
+        assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("codes, sizes, match", [

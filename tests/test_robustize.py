@@ -368,6 +368,24 @@ def test_completeness_requires_large_n():
         completeness_sequence(system, seq)
 
 
+def test_completeness_refuses_a_psi_sequence_it_cannot_splice():
+    inst, walk = _satisfying_walk_instance(seed=77)
+    system = robustize(inst)
+    ini, tar = walk.steps[0], walk.steps[-1]
+    assert len(ini.changed_vertices(tar)) > 1
+    unsatisfied = next(ini.with_value("v0", s) for s in range(512)
+                       if value(inst.graph, ini.with_value("v0", s)) != 1)
+    refusals = {
+        "psi sequence is not a valid reconfiguration sequence": (ini, tar),
+        "psi sequence step 1 does not satisfy the graph": (ini, unsatisfied, ini),
+        "psi sequence does not start at the system's initial assignment": (tar,),
+        "psi sequence does not end at the system's target assignment": (ini,),
+    }
+    for message, steps in refusals.items():
+        with pytest.raises(InstanceError, match=f"^{message}$"):
+            completeness_sequence(system, ReconfigSequence(steps))
+
+
 def test_extract_round_trip_and_validity():
     inst, walk = _satisfying_walk_instance(seed=13)
     system = robustize(inst)
@@ -987,6 +1005,17 @@ def test_materialize_micro_csp_matches_circuit_counts():
             }
         )
         assert value(micro.graph, bit_psi).satisfied == count_satisfied(system, blocks)
+
+
+def test_blocks_from_obj_names_what_it_refuses():
+    system = robustize(single_edge({(0, 0)}, 4, (0, 0), (0, 0)))
+    vertices, good = system.graph.vertices, blocks_to_obj(system.sigma_ini)
+    assert rb.blocks_from_obj(2, good, vertices, "sigma") == system.sigma_ini
+    with pytest.raises(InstanceError, match="^sigma: expected an object mapping vertices to hex "
+                                            "blocks$"):
+        rb.blocks_from_obj(2, list(good.values()), vertices, "sigma")
+    with pytest.raises(InstanceError, match="^sigma: unknown vertex 'zz'$"):
+        rb.blocks_from_obj(2, {**good, "zz": "0"}, vertices, "sigma")
 
 
 def test_system_serialization_round_trip(tmp_path):
