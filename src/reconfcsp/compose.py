@@ -11,6 +11,8 @@ Composition runs the tester twice per circuit, superimposes the twins into
 rectangular 4-ary constraints (a hyperedge is violated iff both constituent
 twin edges are), and the final arity reduction stores unordered value pairs
 per coordinate so endpoint moves never need a simultaneous two-sided change.
+A circuit over blocks of 2^n bits has 2^(n+1) input bits, and the tester has
+one edge per input bit, so every source edge gets (2^(n+1))^2 hyperedges.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, Sequence
 
@@ -79,17 +80,11 @@ class ReductionTrace:
 
 @dataclass(frozen=True)
 class AssignmentTesterOutput:
-    """Binary constraint graph over X and Y with a completeness witness.
-
-    `rejection_rate` is the declared soundness slope: any input at relative
-    distance d from the satisfying set violates at least a rejection_rate*d
-    fraction of edges under every auxiliary assignment.
-    """
+    """Binary constraint graph over X and Y with a completeness witness."""
 
     graph: ConstraintGraph
     x_vars: tuple[str, ...]
     y_vars: tuple[str, ...]
-    rejection_rate: Fraction
     witness: Callable[[int], dict[str, int]]
 
 
@@ -138,7 +133,6 @@ def reference_tester(
         graph=graph,
         x_vars=tuple(x_names),
         y_vars=(y_name,),
-        rejection_rate=Fraction(1),
         witness=witness,
     )
 
@@ -148,21 +142,14 @@ def reference_tester(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuperimposedGraph:
-    graph: ConstraintGraph
-    hyperedge_pairs: tuple[tuple[int, int], ...]
-
-
-def superimpose(
-    twin1: AssignmentTesterOutput, twin2: AssignmentTesterOutput
-) -> SuperimposedGraph:
+def superimpose(twin1: AssignmentTesterOutput, twin2: AssignmentTesterOutput) -> ConstraintGraph:
     """Product of two tester graphs sharing X: one 4-ary hyperedge per edge pair.
 
-    A hyperedge (e1, e2) accepts (a1, b1, a2, b2) iff e1 accepts (a1, b1) or
-    e2 accepts (a2, b2), so it is violated exactly when both twin edges are,
-    and violated fractions multiply.  Hyperedges whose OR-tables are equal
-    hold one `AcceptSet`.
+    The pairs (i1, i2) run in row-major order, so hyperedge h joins twin edges
+    divmod(h, len(twin2.graph.edges)).  A hyperedge (e1, e2) accepts
+    (a1, b1, a2, b2) iff e1 accepts (a1, b1) or e2 accepts (a2, b2), so it is
+    violated exactly when both twin edges are, and violated fractions
+    multiply.  Hyperedges whose OR-tables are equal hold one `AcceptSet`.
     """
     if twin1.x_vars != twin2.x_vars:
         raise InstanceError("twins must share the same input variables")
@@ -194,7 +181,7 @@ def superimpose(
     pairs = list(product(range(len(g1.edges)), range(len(g2.edges))))
     edges = [(*g1.edges[i1], *g2.edges[i2]) for i1, i2 in pairs]
     accepts = list(map(sets.__getitem__, pairs))
-    graph = ConstraintGraph(
+    return ConstraintGraph(
         q=4,
         vertices=vertices,
         edges=tuple(edges),
@@ -202,7 +189,6 @@ def superimpose(
         accepts=tuple(accepts),
         vertex_alphabets=overrides,
     )
-    return SuperimposedGraph(graph, tuple(pairs))
 
 
 def _stacks(tables: list[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
@@ -211,20 +197,6 @@ def _stacks(tables: list[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
     for j, table in enumerate(tables):
         groups.setdefault(table.shape, []).append(j)
     return [(rows, np.stack([tables[j] for j in rows])) for rows in groups.values()]
-
-
-def pad_edge_groups(groups: list[list], mark=lambda item: item) -> list[list]:
-    """Equalize group sizes by round-robin duplication of existing members."""
-    target = max(len(g) for g in groups)
-    out = []
-    for group in groups:
-        if not group:
-            raise InstanceError("cannot pad an empty hyperedge group")
-        padded = list(group)
-        for i in range(target - len(group)):
-            padded.append(mark(group[i % len(group)]))
-        out.append(padded)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +241,23 @@ def compose_system(system: CircuitSystem) -> ComposedSystem:
     """Run the reference tester twice per circuit and superimpose the twins.
 
     Produces a 4-ary instance over block bits plus two auxiliary variables
-    per source edge; per-source-edge hyperedge counts are equalized by
-    round-robin duplication.  Endpoints assign blocks from the system's
-    sigma and both auxiliary twins to the completeness witness.  Systems
-    whose superimpositions would broadcast more than MAX_SUPERIMPOSED_CELLS
-    booleans are refused before any tester is built.
+    per source edge; each source edge owns the consecutive hyperedges of its
+    twins' superimposition.  Endpoints assign blocks from the system's sigma
+    and both auxiliary twins to the completeness witness.  A circuit joining
+    a vertex to itself, and systems whose superimpositions would broadcast
+    more than MAX_SUPERIMPOSED_CELLS booleans, are refused before any tester
+    is built.
     """
     if system.n > MICRO_MAX_N:
         raise InstanceError(
             f"composition enumerates satisfying sets; requires n <= {MICRO_MAX_N}"
         )
+    for c in system.circuits:
+        if c.v == c.w:
+            raise InstanceError(
+                f"edge {c.edge_index}: joins vertex {c.v!r} to itself; "
+                "composition needs two distinct blocks"
+            )
     sats_of = [sat_inputs(c) for c in system.circuits]
     cells = [(2 << system.n) ** 2 * (2 * len(sats)) ** 2 for sats in sats_of]
     if sum(cells) > MAX_SUPERIMPOSED_CELLS:
@@ -288,7 +267,7 @@ def compose_system(system: CircuitSystem) -> ComposedSystem:
             f"at edge {system.circuits[worst].edge_index}), more than {MAX_SUPERIMPOSED_CELLS}; "
             "satisfying sets this large are out of composition range"
         )
-    composed_edges, groups, overrides = [], [], {}
+    composed_edges, edges, accepts, overrides = [], [], [], {}
     trace = ReductionTrace(stage="compose")
     for v in system.graph.vertices:
         for x in range(1 << system.n):
@@ -304,16 +283,13 @@ def compose_system(system: CircuitSystem) -> ComposedSystem:
         overrides[y1] = overrides[y2] = len(sats)
         trace.vertex_origin[y1] = {"kind": "aux", "edge": c.edge_index, "twin": 1}
         trace.vertex_origin[y2] = {"kind": "aux", "edge": c.edge_index, "twin": 2}
-        group = [
-            (edge, acc, {"source_edge": c.edge_index, "twin_pair": list(pair)})
-            for edge, acc, pair in zip(sup.graph.edges, sup.graph.accepts, sup.hyperedge_pairs)
-        ]
-        groups.append(group)
+        edges += sup.edges
+        accepts += sup.accepts
+        trace.hyperedge_origin.extend(
+            {"source_edge": c.edge_index, "twin_pair": list(divmod(h, len(twin2.graph.edges)))}
+            for h in range(len(sup.edges))
+        )
         composed_edges.append(ComposedEdge(c, {s: j for j, s in enumerate(sats)}, y1, y2))
-    groups = pad_edge_groups(groups, mark=lambda item: (*item[:2], {**item[2], "padding": True}))
-    items = [item for group in groups for item in group]
-    edges, accepts = [item[0] for item in items], [item[1] for item in items]
-    trace.hyperedge_origin.extend(item[2] for item in items)
     vertices = block_bits(system.n, system.graph.vertices) + tuple(
         name for e in composed_edges for name in (e.y1, e.y2)
     )
@@ -335,7 +311,7 @@ def compose_system(system: CircuitSystem) -> ComposedSystem:
         return Assignment(values)
 
     instance = ReconfInstance(graph, endpoint(system.sigma_ini), endpoint(system.sigma_tar))
-    trace.notes["hyperedges_per_source_edge"] = len(groups[0]) if groups else 0
+    trace.notes["hyperedges_per_source_edge"] = len(edges) // len(composed_edges) if edges else 0
     return ComposedSystem(instance, trace, tuple(composed_edges), system.n)
 
 

@@ -25,14 +25,15 @@ class InstanceError(ValueError):
     """A malformed instance, assignment, or sequence."""
 
 
-# Accept codes are int64, so no coordinate space may hold more codes than this.
+# Accept codes, and the place values and alphabet bounds that make them, are int64,
+# so every coordinate space is below this: at 2^63 a place value or bound reaches it.
 _CODE_SPACE_LIMIT = 1 << 63
 
 
 def _code_space(sizes: tuple[int, ...]) -> int:
     """Number of tuples over `sizes`; refused before any allocation if codes overflow int64."""
     space = math.prod(sizes)
-    if space > _CODE_SPACE_LIMIT:
+    if space >= _CODE_SPACE_LIMIT:
         raise InstanceError(f"accept: coordinate space {space} does not fit in int64 codes")
     return space
 
@@ -342,9 +343,6 @@ class ConstraintGraph:
             packed.append(accepts)
         object.__setattr__(self, "accepts", tuple(packed))
         object.__setattr__(self, "alphabets", alpha)
-
-    def alphabet_of(self, vertex: str) -> int:
-        return self.alphabets.get(vertex, self.alphabet)
 
     @cached_property
     def vertex_index(self) -> dict[str, int]:

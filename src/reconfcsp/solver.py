@@ -259,7 +259,7 @@ def random_adversarial_sequence(
     current = instance.psi_ini
     for _ in range(steps):
         v = rng.choice(names)
-        size = graph.alphabet_of(v)
+        size = graph.alphabets[v]
         if size < 2:
             continue
         symbol = rng.randrange(size - 1)

@@ -225,7 +225,7 @@ def test_criterion_08_rectangularity():
             psi = Assignment(values)
             psi1 = Assignment({**{x: values[x] for x in x_names}, "y1": y1})
             psi2 = Assignment({**{x: values[x] for x in x_names}, "y2": y2})
-            violated = 1 - value(sup.graph, psi).fraction
+            violated = 1 - value(sup, psi).fraction
             v1 = 1 - value(t1.graph, psi1).fraction
             v2 = 1 - value(t2.graph, psi2).fraction
             assert violated == v1 * v2

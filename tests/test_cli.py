@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,17 @@ def test_solve_triangle(tmp_path, capsys):
     assert run("solve", "--instance", path, "--threshold", 1) == 0
 
 
+def test_solve_threshold_writes_a_witness_that_reaches_it(tmp_path, capsys):
+    inst = triangle_equality()
+    path, witness = tmp_path / "tri.json", tmp_path / "w.json"
+    write_text_atomic(path, core.serialize(inst))
+    assert run("solve", "--instance", path, "--threshold", 1, "--witness-out", witness) == 0
+    assert capsys.readouterr().out == "reachable at threshold 1: True\n"
+    seq = core.sequence_from_obj(json.loads(witness.read_text()), inst.graph)
+    assert seq.steps[0] == inst.psi_ini and seq.steps[-1] == inst.psi_tar
+    assert core.sequence_value(inst.graph, seq).fraction >= Fraction(1, len(inst.graph.edges))
+
+
 def test_hadamard_path_verify(tmp_path, capsys):
     csv_path = tmp_path / "profile.csv"
     assert run("hadamard", "path", "--n", 9, "--alpha", 3, "--beta", 77,
@@ -131,6 +143,13 @@ def test_hadamard_path_input_guards(argv, capsys):
 def test_hadamard_partial_sum_exhaustive(capsys):
     assert run("hadamard", "partial-sum", "--n", 2, "--exhaustive") == 0
     assert "1/6" in capsys.readouterr().out
+
+
+def test_hadamard_partial_sum_exhaustive_writes_its_frequency(tmp_path, capsys):
+    csv_path = tmp_path / "ps.csv"
+    assert run("hadamard", "partial-sum", "--n", 2, "--exhaustive", "--out", csv_path) == 0
+    assert capsys.readouterr().out == "exhaustive frequency: 1/6\n"
+    assert csv_path.read_bytes() == b"n,mode,frequency_num,frequency_den\n2,exhaustive,1,6\n"
 
 
 def test_hadamard_partial_sum_seeded(tmp_path, capsys):
@@ -349,6 +368,37 @@ def test_json_accept_symbol_of_another_type_exits_2_naming_its_row(tmp_path, cap
     assert err == f"error: {path}: instance: edges[1].accept[1]: symbol {symbol} is not an integer\n"
 
 
+def test_solve_refuses_a_coordinate_space_of_two_to_the_63(tmp_path, capsys):
+    # the place value of coordinate 0 would be 2^63, one past int64
+    obj = {
+        "arity": 2, "alphabet": 1,
+        "vertices": [{"name": "a", "alphabet": 1}, {"name": "b", "alphabet": 1 << 63}],
+        "edges": [{"vertices": ["a", "b"], "accept": [[0, 0]]}],
+        "psi_ini": {"a": 0, "b": 0}, "psi_tar": {"a": 0, "b": 0},
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    assert run("solve", "--instance", path) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: instance: edges[0].accept: coordinate space 9223372036854775808 "
+        "does not fit in int64 codes\n"
+    )
+
+
+def test_compose_names_a_source_edge_that_joins_a_vertex_to_itself(tmp_path, capsys):
+    obj = json.loads(core.serialize(triangle_equality(alphabet=4)))
+    obj["edges"][2]["vertices"] = ["a", "a"]
+    inst, sys_dir = tmp_path / "inst.json", tmp_path / "sys"
+    inst.write_text(json.dumps(obj))
+    assert run("robustize", "--instance", inst, "--out", sys_dir) == 0
+    capsys.readouterr()
+    assert run("compose", "--system", sys_dir, "--out", tmp_path / "composed") == 2
+    assert capsys.readouterr().err == (
+        "error: edge 2: joins vertex 'a' to itself; composition needs two distinct blocks\n"
+    )
+    assert not (tmp_path / "composed").exists()
+
+
 def test_truncated_instance_names_its_file(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(core.serialize(triangle_equality())[:40])
@@ -474,6 +524,11 @@ def test_experiment_fig2(tmp_path, capsys):
     assert run("experiment", "fig2-profile", "--n", 9, "--seed", 7, "--out", csv_path) == 0
     assert "min-dist-to-other everywhere > 1/4 + 1/400: True" in capsys.readouterr().out
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == _FIG2_N9_SEED7_SHA256
+
+
+def test_experiment_fig2_below_n9_asserts_no_farness(capsys):
+    assert run("experiment", "fig2-profile", "--n", 4, "--seed", 7) == 0
+    assert capsys.readouterr().out == "seed: 7\nn < 9: farness not asserted\n"
 
 
 def test_generate_then_pipeline_micro(tmp_path, capsys):

@@ -18,7 +18,6 @@ from reconfcsp.compose import (
     arity_reduce_sequence,
     compose_system,
     full_pipeline,
-    pad_edge_groups,
     reference_tester,
     restrict_to_blocks,
     staged_sequence,
@@ -103,7 +102,7 @@ def _twins(sat, m=3):
 def test_superimpose_counts_and_violation_rule():
     t1, t2 = _twins([0b000, 0b111], m=3)
     sup = superimpose(t1, t2)
-    assert len(sup.graph.edges) == len(t1.graph.edges) * len(t2.graph.edges) == 9
+    assert len(sup.edges) == len(t1.graph.edges) * len(t2.graph.edges) == 9
     # a hyperedge is violated iff both constituent edges are violated
     for sigma in range(8):
         for y1 in range(2):
@@ -113,22 +112,22 @@ def test_superimpose_counts_and_violation_rule():
                 psi = Assignment(values)
                 psi1 = _tester_assignment(t1, sigma, y1)
                 psi2 = _tester_assignment(t2, sigma, y2)
-                for h, (i1, i2) in enumerate(sup.hyperedge_pairs):
+                for h, (i1, i2) in enumerate(itertools.product(range(3), range(3))):
                     sat1 = t1.graph.edge_satisfied(i1, psi1)
                     sat2 = t2.graph.edge_satisfied(i2, psi2)
-                    assert sup.graph.edge_satisfied(h, psi) == (sat1 or sat2)
+                    assert sup.edge_satisfied(h, psi) == (sat1 or sat2)
 
 
 def test_superimpose_rectangularity_exhaustive():
     t1, t2 = _twins([0b010, 0b101], m=3)
     sup = superimpose(t1, t2)
-    total = Fraction(len(sup.graph.edges))
+    total = Fraction(len(sup.edges))
     for sigma in range(8):
         for y1 in range(2):
             for y2 in range(2):
                 values = {x: (sigma >> i) & 1 for i, x in enumerate(t1.x_vars)}
                 values["y1"], values["y2"] = y1, y2
-                violated = 1 - value(sup.graph, Assignment(values)).fraction
+                violated = 1 - value(sup, Assignment(values)).fraction
                 v1 = 1 - value(t1.graph, _tester_assignment(t1, sigma, y1)).fraction
                 v2 = 1 - value(t2.graph, _tester_assignment(t2, sigma, y2)).fraction
                 assert violated == v1 * v2
@@ -174,28 +173,18 @@ def test_superimpose_is_the_or_of_each_pair_of_twin_tables(twins):
     t1, t2 = twins
     sup = superimpose(t1, t2)
     pairs = list(itertools.product(range(len(t1.graph.edges)), range(len(t2.graph.edges))))
-    assert list(sup.hyperedge_pairs) == pairs
+    assert len(sup.edges) == len(pairs)
     first_holder = {}
     for h, (i1, i2) in enumerate(pairs):
         e1, e2 = t1.graph.edges[i1], t2.graph.edges[i2]
         table = t1.graph.vertex_table(i1)[1][:, :, None, None] | t2.graph.vertex_table(i2)[1]
-        acc = sup.graph.accepts[h]
-        assert sup.graph.edges[h] == e1 + e2
+        acc = sup.accepts[h]
+        assert sup.edges[h] == e1 + e2
         assert acc == AcceptSet.from_table(table) and acc.sizes == table.shape
         # hyperedges with equal tables hold one object, and no others share it
         holder = first_holder.setdefault((table.shape, table.tobytes()), acc)
         assert acc is holder
-    assert len({id(acc) for acc in sup.graph.accepts}) == len(first_holder)
-
-
-def test_pad_edge_groups_round_robin():
-    groups = [["a", "b", "c"], ["d"], ["e", "f"]]
-    padded = pad_edge_groups(groups)
-    assert [len(g) for g in padded] == [3, 3, 3]
-    assert padded[1] == ["d", "d", "d"]
-    assert padded[2] == ["e", "f", "e"]
-    with pytest.raises(InstanceError, match="empty hyperedge group"):
-        pad_edge_groups([["a"], []])
+    assert len({id(acc) for acc in sup.accepts}) == len(first_holder)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +211,66 @@ def test_compose_rejects_large_n():
     system = robustize(inst)
     with pytest.raises(InstanceError, match="n <= 3"):
         compose_system(system)
+
+
+def _two_circuit_system():
+    """A 3-vertex path at n = 2 whose circuits accept 4 and 8 inputs."""
+    from reconfcsp.cli import generate_instance
+
+    inst, _ = generate_instance("path-graph", 3, 4, 7, satisfiable=True, walk_length=1,
+                                extra_tuples=0)
+    return robustize(inst)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_source_edge_owns_its_twins_hyperedges_in_row_major_order(n):
+    """A circuit has 2^(n+1) input bits and a tester one edge per bit, so every
+    source edge gets the same (2^(n+1))^2 hyperedges and none is padding."""
+    system = _two_circuit_system() if n == 2 else _layout_system(3)
+    composed = compose_system(system)
+    graph, origins = composed.instance.graph, composed.trace.hyperedge_origin
+    width = 2 << n
+    pairs = list(itertools.product(range(width), repeat=2))
+    assert len(graph.edges) == len(origins) == len(system.circuits) * len(pairs)
+    assert composed.trace.notes["hyperedges_per_source_edge"] == len(pairs)
+    for k, e in enumerate(composed.edges):
+        own = slice(k * len(pairs), (k + 1) * len(pairs))
+        bits = circuit_bits(e.circuit)
+        assert origins[own] == [
+            {"source_edge": e.circuit.edge_index, "twin_pair": [i1, i2]} for i1, i2 in pairs
+        ]
+        assert graph.edges[own] == tuple((e.y1, bits[i1], e.y2, bits[i2]) for i1, i2 in pairs)
+    assert not any("padding" in origin for origin in origins)
+
+
+def test_compose_refuses_a_system_past_the_cell_guard_before_any_tester(monkeypatch):
+    # 64 twin edge pairs per circuit, over (2 * 4)^2 and (2 * 8)^2 auxiliary pairs
+    system = _two_circuit_system()
+    monkeypatch.setattr(compose, "MAX_SUPERIMPOSED_CELLS", 4096 + 16384 - 1)
+    calls = []
+    monkeypatch.setattr(compose, "reference_tester", lambda *args: calls.append(args))
+    with pytest.raises(InstanceError) as caught:
+        compose_system(system)
+    assert str(caught.value) == (
+        "twin superimpositions would broadcast 20480 cells (largest 16384 at edge 1), more than "
+        "20479; satisfying sets this large are out of composition range"
+    )
+    assert calls == []
+
+
+def test_compose_names_a_circuit_that_joins_a_vertex_to_itself(monkeypatch):
+    graph = ConstraintGraph(2, ("a", "b"), (("a", "b"), ("a", "a")), 4, ({(0, 0), (1, 1)},) * 2)
+    inst = ReconfInstance(graph, Assignment({"a": 0, "b": 0}), Assignment({"a": 1, "b": 1}))
+    calls = []
+    monkeypatch.setattr(compose, "reference_tester", lambda *args: calls.append(args))
+    message = "edge 1: joins vertex 'a' to itself; composition needs two distinct blocks"
+    with pytest.raises(InstanceError) as caught:
+        compose_system(robustize(inst))
+    assert str(caught.value) == message
+    with pytest.raises(InstanceError) as caught:
+        full_pipeline(inst, "micro")
+    assert str(caught.value) == f"stage compose: {message}"
+    assert calls == []
 
 
 def _wiggle_sigma_seq(system):
@@ -338,7 +387,7 @@ def test_arity_reduce_shape_and_completeness():
     graph = reduction.instance.graph
     assert graph.q == 2
     assert len(graph.edges) == 4 * len(inst.graph.edges)
-    assert graph.alphabet_of("cell0") == (2 * 3 // 2) ** 4 == 81
+    assert graph.alphabets["cell0"] == (2 * 3 // 2) ** 4 == 81
     assert value(graph, reduction.instance.psi_ini) == 1
     assert value(graph, reduction.instance.psi_tar) == 1
     assert reduction.trace.notes["soundness_loss_factor"] == 4
@@ -687,7 +736,7 @@ def test_arity_reduce_renames_a_cell_that_a_source_vertex_already_names():
     graph = reduction.instance.graph
     assert graph.vertices == ("cell0", "q", "r", "s", "cell0'")
     assert graph.edges[0] == ("cell0'", "cell0")
-    assert graph.alphabet_of("cell0") == 2 and graph.alphabet_of("cell0'") == 81
+    assert graph.alphabets["cell0"] == 2 and graph.alphabets["cell0'"] == 81
     assert reduction.trace.vertex_origin["cell0"] == {"kind": "source-vertex", "vertex": "cell0"}
     assert reduction.trace.vertex_origin["cell0'"] == {"kind": "cell", "hyperedge": 0}
     assert value(graph, reduction.instance.psi_ini) == value(graph, reduction.instance.psi_tar) == 1
@@ -758,7 +807,7 @@ def test_arity_reduce_multiple_hyperedges_get_their_own_cells():
     assert value(reduction.instance.graph, reduction.instance.psi_ini) == 1
     # each cell's accepted symbols must fit its own alphabet
     for edge, acc in zip(reduction.instance.graph.edges, reduction.instance.graph.accepts):
-        size = reduction.instance.graph.alphabet_of(edge[0])
+        size = reduction.instance.graph.alphabets[edge[0]]
         assert all(0 <= sym < size for sym, _ in acc)
 
 

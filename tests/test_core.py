@@ -541,6 +541,13 @@ def test_accept_set_from_codes_rejects(codes, sizes, match):
         AcceptSet.from_codes(codes, sizes)
 
 
+def test_accept_set_refuses_a_coordinate_space_of_two_to_the_63():
+    # the place value of coordinate 0 would be 2^63, one past int64
+    with pytest.raises(InstanceError, match="coordinate space 9223372036854775808 does not fit"):
+        AcceptSet([(0, 0)], (1, 1 << 63))
+    assert list(AcceptSet([(0, (1 << 63) - 2)], (1, (1 << 63) - 1))) == [(0, (1 << 63) - 2)]
+
+
 def test_accept_set_codes_are_read_only():
     for acc in (AcceptSet(PAIRS, (4, 4)), AcceptSet.from_codes([1, 5], (4, 4))):
         with pytest.raises(ValueError):

@@ -205,7 +205,7 @@ def count_graphs(draw):
 @settings(max_examples=80, deadline=None)
 def test_count_table_matches_value(graph):
     counts = _count_table(graph, state_space_size(graph))
-    sizes = [graph.alphabet_of(v) for v in graph.vertices]
+    sizes = [graph.alphabets[v] for v in graph.vertices]
     assert len(counts) == state_space_size(graph)
     # a state id is mixed-radix with vertex 0 least significant
     states = itertools.product(*(range(s) for s in reversed(sizes)))
