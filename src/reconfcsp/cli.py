@@ -174,7 +174,7 @@ def _cmd_verify_sequence(args) -> int:
     steps = robustize.read_block_sequence(system, args.sigma)
     total = len(system.circuits)
     all_ok = True
-    previous = None
+    previous, state = None, {}
     for t, sigma in enumerate(steps):
         if previous is not None:
             try:
@@ -182,7 +182,7 @@ def _cmd_verify_sequence(args) -> int:
             except InstanceError:
                 print(f"step {t}: INVALID (more than one bit changed)")
                 all_ok = False
-        count = robustize.count_satisfied(system, sigma)
+        count = robustize.count_satisfied(system, sigma, state)
         print(f"step {t}: {count}/{total} circuits satisfied")
         if count != total:
             all_ok = False

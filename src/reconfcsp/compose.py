@@ -832,8 +832,9 @@ def full_pipeline(
     stages = [_report("source", instance, None)]
     with _stage("completeness"):
         sigma_seq = completeness_sequence(system, psi_seq, seed=seed)
+    state: dict = {}
     all_ok = all(
-        count_satisfied(system, sigma) == len(system.circuits) for sigma in sigma_seq
+        count_satisfied(system, sigma, state) == len(system.circuits) for sigma in sigma_seq
     )
     stages.append(
         StageReport(

@@ -10,9 +10,9 @@ Along a walk, `count_satisfied` and `extract_psi_sequence` decode each
 moved block from its vertex's last one: by one XOR with the last nearest
 codeword while within 2^(n-2) of it, else from the last distances known
 (one Hadamard sign row per flipped bit, or a popcount when far).
-`count_satisfied` keeps the verdicts on a moved block whose symbol stays
-and whose old and new nearest d have d + radius < 2^(n-1).  Spliced walks
-are built with the slot setters, no `with_block` call per step.  Circuits
+`count_satisfied` keeps that walk's decoded blocks and verdicts in a dict
+the caller holds, and keeps the verdicts on a moved block whose symbol
+stays and whose old and new nearest d have d + radius < 2^(n-1).  Circuits
 stay semantic (a predicate over two blocks and the padded graph's own
 `AcceptSet`); only the micro oracle materializes their truth tables, n <= 3.
 """
@@ -54,7 +54,7 @@ from .hadamard import (
 from .seeding import derive_seed, stream
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BlockAssignment:
     """One length-2^n block per source vertex (a truth assignment, blockwise)."""
 
@@ -62,19 +62,10 @@ class BlockAssignment:
     blocks: dict[str, BitFunction]
 
     def with_block(self, vertex: str, block: BitFunction) -> "BlockAssignment":
-        updated = dict(self.blocks)
-        updated[vertex] = block
-        sigma = object.__new__(BlockAssignment)  # skips the dataclass __init__
-        _SET_N(sigma, self.n)
-        _SET_BLOCKS(sigma, updated)
-        return sigma
+        return BlockAssignment(self.n, {**self.blocks, vertex: block})
 
     def flip(self, vertex: str, position: int) -> "BlockAssignment":
         return self.with_block(vertex, self.blocks[vertex].flip(position))
-
-
-# The slot setters behind BlockAssignment's frozen __setattr__
-_SET_N, _SET_BLOCKS = BlockAssignment.n.__set__, BlockAssignment.blocks.__set__
 
 
 @dataclass(frozen=True)
@@ -183,43 +174,44 @@ def _require_length(circuit: RobustCircuit, *blocks: BitFunction) -> None:
         raise InstanceError(f"length mismatch: circuit expects blocks of 2^{circuit.n} bits")
 
 
-# The last `count_satisfied` call, replaced whole so concurrent callers can lose each
-# other's work but never read mixed state: (system, (vertex, its circuit indices, their
-# least 2^(n-1) - radius) per vertex, decoded block per vertex, verdict per circuit).
-_last_count: tuple = (None, (), {}, [])
-
-
-def count_satisfied(system: CircuitSystem, sigma: BlockAssignment) -> int:
+def count_satisfied(
+    system: CircuitSystem, sigma: BlockAssignment, state: dict | None = None
+) -> int:
     """How many circuits accept `sigma`: `eval_circuit` on each, summed.
 
-    Only blocks that differ in n or bits from the last call's block of their
+    `state` carries one walk's decoding from step to step: pass the same dict,
+    empty at first, at every step.  It holds the system, (vertex, its circuit
+    indices, their least 2^(n-1) - radius) per vertex, the decoded block per
+    vertex and the verdict per circuit, and is rebuilt for another system.
+    Only blocks that differ in n or bits from the state's block of their
     vertex are decoded, from that block (see `_decode`).  Their circuits are
     judged again unless the nearest symbol is kept and the old and new nearest
     distances d have d + radius < 2^(n-1), so d < 2^(n-2) <= radius.  Then, for
     the other block g at e: e > 2^(n-2) fails; e + radius < 2^(n-1) tests (best,
     g.best); else e > d and best is the only candidate.  Each reads best alone.
     """
-    global _last_count
-    last_system, around, decoded, verdicts = _last_count
+    state = {} if state is None else state
     circuits, blocks = system.circuits, sigma.blocks
-    moved = last_system is not system
     try:
-        if moved:
+        if state.get("system") is not system:
             circuits_of: dict[str, list[int]] = {}
             for i, c in enumerate(circuits):
                 _require_length(c, blocks[c.v], blocks[c.w])
                 for v in dict.fromkeys((c.v, c.w)):
                     circuits_of.setdefault(v, []).append(i)
             limits = [(1 << c.n - 1) - c.radius for c in circuits]
-            around = tuple((v, on, min(limits[i] for i in on)) for v, on in circuits_of.items())
             decoded = {v: _decode(blocks[v].n, blocks[v].bits) for v in circuits_of}
-            verdicts = [_verdict(c, decoded[c.v], decoded[c.w]) for c in circuits]
-        for v, on, limit in around:
+            state.update(
+                system=system,
+                around=[(v, on, min(limits[i] for i in on)) for v, on in circuits_of.items()],
+                decoded=decoded,
+                verdicts=[_verdict(c, decoded[c.v], decoded[c.w]) for c in circuits],
+            )
+        decoded, verdicts = state["decoded"], state["verdicts"]
+        for v, on, limit in state["around"]:
             block, old = blocks[v], decoded[v]
             if old.bits == block.bits and old.n == block.n:
                 continue
-            if not moved:  # copied before the first change, as the entry is replaced whole
-                decoded, verdicts, moved = decoded.copy(), verdicts.copy(), True
             if old.n != block.n:  # `old` passed this check, so `block` fails it
                 _require_length(circuits[on[0]], block)
             new = decoded[v] = _decode(block.n, block.bits, old)
@@ -229,8 +221,6 @@ def count_satisfied(system: CircuitSystem, sigma: BlockAssignment) -> int:
                     verdicts[i] = _verdict(c, decoded[c.v], decoded[c.w])
     except KeyError as exc:
         raise InstanceError(f"block assignment has no block for vertex {exc.args[0]!r}") from None
-    if moved:
-        _last_count = (system, around, decoded, verdicts)
     return sum(verdicts)
 
 
@@ -324,25 +314,24 @@ def completeness_sequence(
         alpha, beta = before.values[v_star], after.values[v_star]
         path = generate_codeword_path(alpha, beta, system.n, derive_seed(seed, "splice", t, v_star))
         for block in path.steps[1:]:  # as `with_block`, without a call per step
-            blocks = blocks.copy()
-            blocks[v_star] = block
-            sigma = object.__new__(BlockAssignment)
-            _SET_N(sigma, n)
-            _SET_BLOCKS(sigma, blocks)
-            out.append(sigma)
+            blocks = {**blocks, v_star: block}
+            out.append(BlockAssignment(n, blocks))
     return out
 
 
 def single_bit_change(a: BlockAssignment, b: BlockAssignment) -> tuple[str, int] | None:
     """The (vertex, position) changed between two block assignments, or None.
 
-    Raises if more than one bit changed.
+    Raises if more than one bit changed, or if a vertex's block changed length.
     """
     changed, blocks = None, b.blocks
     for v, block in a.blocks.items():
         other = blocks[v]
         if block is other:  # `with_block` shares the blocks it leaves alone
             continue
+        if block.n != other.n:
+            raise InstanceError(f"block of vertex {v!r} changes from 2^{block.n} "
+                                f"to 2^{other.n} bits")
         delta = block.bits ^ other.bits
         if not delta:
             continue
@@ -357,16 +346,18 @@ def extract_psi_sequence(
 ) -> ReconfigSequence:
     """Decode each block to its nearest codeword, stepwise, collapsing duplicates.
 
-    Every step is checked first: it holds a block for each vertex and no other,
-    and changes at most one bit.  Then each moved block is decoded from its
-    vertex's last one.
+    Every step is checked first: it holds a block of 2^n bits for each vertex
+    and no other, and changes at most one bit.  Then each moved block is
+    decoded from its vertex's last one.
     """
     if not sigma_seq:
         raise InstanceError("sigma sequence must be non-empty")
     moves, vertices = [], system.graph.vertices
     try:
         for v in vertices:  # step 0; `single_bit_change` checks each next one
-            sigma_seq[0].blocks[v]
+            if (n := sigma_seq[0].blocks[v].n) != system.n:
+                raise InstanceError(f"sigma step 0: the block of vertex {v!r} has 2^{n} bits, "
+                                    f"not 2^{system.n}")
         for a, b in zip(sigma_seq, sigma_seq[1:]):
             change = single_bit_change(a, b)
             if change is not None:

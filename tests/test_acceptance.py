@@ -131,8 +131,9 @@ def test_criterion_05_robustization_completeness():
         assert sigma_seq[-1] == system.sigma_tar
         for a, b in zip(sigma_seq, sigma_seq[1:]):
             assert rb.single_bit_change(a, b) is not None
+        state = {}
         for sigma in sigma_seq:
-            assert rb.count_satisfied(system, sigma) == total
+            assert rb.count_satisfied(system, sigma, state) == total
     report(5, "10 seeded 4-vertex alphabet-512 instances: spliced sigma sequences "
               "are single-bit and satisfy every circuit at every step")
 

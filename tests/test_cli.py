@@ -331,6 +331,31 @@ def test_verify_sequence_marks_a_step_that_flips_two_bits(tmp_path, capsys):
     assert lines[:2] == ["step 0: 1/1 circuits satisfied", "step 1: INVALID (more than one bit changed)"]
 
 
+def test_verify_sequence_counts_a_long_adversarial_walk(tmp_path, capsys):
+    from reconfcsp import robustize as rb
+    from reconfcsp.fileio import write_json
+
+    inst_path, sys_dir, sigma_path = tmp_path / "inst.json", tmp_path / "sys", tmp_path / "adv.json"
+    assert run("generate", "--kind", "path-graph", "--vertices", 4, "--alphabet", 512,
+               "--satisfiable", "--seed", 7, "--out", inst_path) == 0
+    assert run("robustize", "--instance", inst_path, "--out", sys_dir) == 0
+    system = rb.read_system(sys_dir)
+    walk = rb.adversarial_block_sequence(system, 7)
+    write_json(sigma_path, {"steps": [rb.blocks_to_obj(sigma) for sigma in walk]})
+    capsys.readouterr()
+    assert run("verify-sequence", "--system", sys_dir, "--sigma", sigma_path) == 1
+    total = len(system.circuits)
+    fresh = [
+        sum(rb.eval_circuit(c, sigma.blocks[c.v], sigma.blocks[c.w]) for c in system.circuits)
+        for sigma in walk
+    ]
+    assert (system.n, total, len(walk)) == (9, 3, 853)
+    assert capsys.readouterr().out.splitlines() == [
+        f"step {t}: {count}/{total} circuits satisfied" for t, count in enumerate(fresh)
+    ]
+    assert min(fresh) < total  # the walk does violate circuits
+
+
 def _tweak_accept_row(obj, row):
     obj["edges"][0]["accept"][0] = row
 

@@ -351,7 +351,8 @@ def test_completeness_sequence_contract():
     total = len(system.circuits)
     for a, b in zip(sigma_seq, sigma_seq[1:]):
         assert single_bit_change(a, b) is not None
-    assert all(count_satisfied(system, s) == total for s in sigma_seq)
+    state = {}
+    assert all(count_satisfied(system, s, state) == total for s in sigma_seq)
     # blocks of unmoved vertices stay bit-identical across each splice
     for a, b in zip(sigma_seq, sigma_seq[1:]):
         moved_vertex, _ = single_bit_change(a, b)
@@ -428,7 +429,30 @@ def test_extract_rejects_multibit_steps():
         extract_psi_sequence(system, [system.sigma_ini, jumped])
 
 
-def test_extract_and_count_name_a_vertex_without_a_block(monkeypatch):
+def test_walks_refuse_a_block_of_another_length():
+    system = robustize(path_graph_instance(512, [{"u": 0, "v": 1, "w": 2}]))
+    s = system.sigma_ini
+    # a 2^8-bit block at step 0, where the system's blocks have 2^9 bits
+    short = s.with_block("u", had_encode(5, 8))
+    for walk in ([short], [short, short], [short, s]):
+        with pytest.raises(InstanceError, match=r"^sigma step 0: the block of vertex 'u' "
+                                                r"has 2\^8 bits, not 2\^9$"):
+            extract_psi_sequence(system, walk)
+    # had(0) is all zeros at every n: one bit or none apart, as integers
+    changed = r"^block of vertex 'u' changes from 2\^9 to 2\^8 bits$"
+    for block in (had_encode(0, 8).flip(2), had_encode(0, 8)):
+        assert (s.blocks["u"].bits ^ block.bits).bit_count() <= 1
+        moved = s.with_block("u", block)
+        with pytest.raises(InstanceError, match=changed):
+            single_bit_change(s, moved)
+        with pytest.raises(InstanceError, match=changed):
+            extract_psi_sequence(system, [s, s.flip("w", 3), moved.flip("w", 3)])
+    with pytest.raises(InstanceError, match=r"^block of vertex 'u' changes from 2\^8 to "
+                                            r"2\^9 bits$"):
+        single_bit_change(short, s)
+
+
+def test_extract_and_count_name_a_vertex_without_a_block():
     inst, _ = _satisfying_walk_instance(seed=13)
     system = robustize(inst)
     sigma = system.sigma_ini
@@ -437,14 +461,16 @@ def test_extract_and_count_name_a_vertex_without_a_block(monkeypatch):
         extract_psi_sequence(system, [partial])
     with pytest.raises(InstanceError, match="^sigma step 2 has no block for vertex 'v0'$"):
         extract_psi_sequence(system, [sigma, sigma.flip("v1", 3), partial, sigma])
-    # on the system's first call, and on a later one
-    monkeypatch.setattr(rb, "_last_count", (None, {}, {}, []))
+    # on the walk's first step, where the state is filled, and on a later one
+    state = {}
     missing = "^block assignment has no block for vertex 'v0'$"
     with pytest.raises(InstanceError, match=missing):
-        count_satisfied(system, partial)
-    assert count_satisfied(system, sigma) == len(system.circuits)
+        count_satisfied(system, partial, state)
+    assert state == {}
+    assert count_satisfied(system, sigma, state) == len(system.circuits)
     with pytest.raises(InstanceError, match=missing):
-        count_satisfied(system, partial)
+        count_satisfied(system, partial, state)
+    assert count_satisfied(system, sigma, state) == len(system.circuits)
 
 
 def test_extract_refuses_a_block_for_a_vertex_the_system_lacks():
@@ -491,7 +517,8 @@ def test_count_satisfied_matches_fresh_evaluation_along_walks(tmp_path):
     system = robustize(inst)
     total = len(system.circuits)
     spliced = completeness_sequence(system, walk, seed=3)
-    counts = [count_satisfied(system, s) for s in spliced]
+    state = {}
+    counts = [count_satisfied(system, s, state) for s in spliced]
     assert counts == [fresh_count(system, s) for s in spliced] == [total] * len(spliced)
     adversarial = [
         adversarial_block_sequence(system, seed=5, scramble=400),
@@ -501,7 +528,8 @@ def test_count_satisfied_matches_fresh_evaluation_along_walks(tmp_path):
     for sys_, seq in [(system, w) for w in adversarial] + [
         (micro, adversarial_block_sequence(micro, seed=s)) for s in range(4)
     ]:
-        counts = [count_satisfied(sys_, s) for s in seq]
+        state = {}
+        counts = [count_satisfied(sys_, s, state) for s in seq]
         assert counts == [fresh_count(sys_, s) for s in seq]
         assert min(counts) < len(sys_.circuits)  # the walks do violate circuits
     # the same steps as new objects with equal bits, read back from disk
@@ -509,8 +537,10 @@ def test_count_satisfied_matches_fresh_evaluation_along_walks(tmp_path):
     write_json(path, {"steps": [blocks_to_obj(s) for s in adversarial[0]]})
     reread = read_block_sequence(system, path)
     assert reread == adversarial[0] and reread[0].blocks["v0"] is not adversarial[0][0].blocks["v0"]
+    state = {}
     for old, new in zip(adversarial[0], reread):
-        assert count_satisfied(system, old) == count_satisfied(system, new) == fresh_count(system, new)
+        counts = count_satisfied(system, old, state), count_satisfied(system, new, state)
+        assert counts == (fresh_count(system, new),) * 2
 
 
 def test_count_satisfied_alternating_strict_and_weakened_systems():
@@ -518,14 +548,14 @@ def test_count_satisfied_alternating_strict_and_weakened_systems():
     # block 255 bits from had(0) is 257 from had(1), a candidate for strict only.
     inst = single_edge({(0, 0), (1, 1)}, 1024, (0, 0), (1, 1))
     strict, weak = robustize(inst), robustize(inst, weakened=True)
-    counts = []
+    counts, state = [], {}
     for f, g in four_phase_block_path(10, 0, 0, 1, 1):
         sigma = BlockAssignment(10, {"u": f, "w": g})
         for system in (strict, weak):
-            counts.append(count_satisfied(system, sigma))
+            counts.append(count_satisfied(system, sigma, state))
             assert counts[-1] == fresh_count(system, sigma)
             # one system at a time, never more, and one decoded block per vertex
-            assert rb._last_count[0] is system and set(rb._last_count[2]) == {"u", "w"}
+            assert state["system"] is system and set(state["decoded"]) == {"u", "w"}
     assert counts[0::2] != counts[1::2]
 
 
@@ -533,17 +563,19 @@ def test_count_satisfied_reports_a_single_circuit_violation():
     # chain u-v-w: u is on the first circuit only (its f side), w on the second (its g side)
     inst = path_graph_instance(512, [{"u": 0, "v": 1, "w": 2}, {"u": 3, "v": 1, "w": 4}])
     system = robustize(inst)
-    sigma = system.sigma_ini
-    assert count_satisfied(system, sigma) == 2
+    sigma, state = system.sigma_ini, {}
+    assert count_satisfied(system, sigma, state) == 2
     for vertex, bad in (("w", 7), ("u", 7), ("w", 4), ("u", 3)):
         moved = sigma.with_block(vertex, had_encode(bad, 9))
-        assert count_satisfied(system, moved) == fresh_count(system, moved) == (bad in (3, 4)) + 1
-        assert count_satisfied(system, sigma) == 2
+        expected = fresh_count(system, moved)
+        assert count_satisfied(system, moved, state) == expected == (bad in (3, 4)) + 1
+        assert count_satisfied(system, sigma, state) == 2
     # had(0) is the all-zero block at every n: equal bits, wrong length
     short = sigma.with_block("u", had_encode(0, 8))
     assert short.blocks["u"].bits == sigma.blocks["u"].bits
-    with pytest.raises(InstanceError, match="length mismatch"):
-        count_satisfied(system, short)
+    for walk_state in (state, {}):  # along the walk, and on a walk's first step
+        with pytest.raises(InstanceError, match="length mismatch"):
+            count_satisfied(system, short, walk_state)
 
 
 def test_count_satisfied_reevaluates_only_moved_circuits(monkeypatch):
@@ -562,9 +594,7 @@ def test_count_satisfied_reevaluates_only_moved_circuits(monkeypatch):
     splices = sum(a != b for a, b in zip(walk.steps, walk.steps[1:]))
     # two steps of each splice pass 2^(n-2), where the symbol changes
     assert sum(map(bool, expected)) == 2 * splices and len(expected) == 256 * splices
-    # the state left by the spies below must not outlive this test
-    monkeypatch.setattr(rb, "_last_count", (None, {}, {}, []))
-    decodes, judged = [], []
+    decodes, judged, state = [], [], {}
 
     def spy_decode(n, bits, near=None):
         decodes.append((bits, near))
@@ -576,13 +606,13 @@ def test_count_satisfied_reevaluates_only_moved_circuits(monkeypatch):
 
     monkeypatch.setattr(rb, "_decode", spy_decode)
     monkeypatch.setattr(rb, "_verdict", spy_verdict)
-    count_satisfied(system, spliced[0])
+    count_satisfied(system, spliced[0], state)
     assert sorted(judged, key=lambda c: c.edge_index) == list(system.circuits)
     assert [near for _, near in decodes] == [None] * len(system.graph.vertices)
     for a, b, on_moved in zip(spliced, spliced[1:], expected):
         decodes.clear()
         judged.clear()
-        assert count_satisfied(system, b) == len(system.circuits)
+        assert count_satisfied(system, b, state) == len(system.circuits)
         moved, _ = single_bit_change(a, b)
         # the moved block alone is decoded, once, from its vertex's last block
         assert [(bits, near.bits) for bits, near in decodes] == [
@@ -605,10 +635,11 @@ def test_counting_a_spliced_walk_popcounts_at_most_twice_per_splice(monkeypatch)
     spliced = completeness_sequence(system, walk, seed=1)
     splices = sum(a != b for a, b in zip(walk.steps, walk.steps[1:]))
     assert splices > 1 and len(spliced) == 1 + 256 * splices
-    monkeypatch.setattr(rb, "_last_count", (None, {}, {}, []))
-    count_satisfied(system, spliced[0])
+    state = {}
+    count_satisfied(system, spliced[0], state)
     popcounts = spy_popcounts(monkeypatch)
-    assert [count_satisfied(system, s) for s in spliced] == [len(system.circuits)] * len(spliced)
+    counts = [count_satisfied(system, s, state) for s in spliced]
+    assert counts == [len(system.circuits)] * len(spliced)
     # blocks within 2^(n-2) of their last codeword are decoded by it alone
     assert 0 < len(popcounts) <= 2 * splices
 
@@ -623,10 +654,10 @@ def test_an_n12_walk_across_the_quarter_boundary_popcounts_once(monkeypatch):
         walk.append(walk[-1].flip("u", x))
     # had(9) is a candidate from 2^(n-1) - 1029 = 1019 bits on, and (9, 5) is not accepted
     expected = [int(t < 1019) for t in range(1025)] + [0] * 40
-    monkeypatch.setattr(rb, "_last_count", (None, {}, {}, []))
-    count_satisfied(system, walk[0])
+    state = {}
+    count_satisfied(system, walk[0], state)
     popcounts = spy_popcounts(monkeypatch)
-    assert [count_satisfied(system, sigma) for sigma in walk] == expected
+    assert [count_satisfied(system, sigma, state) for sigma in walk] == expected
     # at step 1019, where the strict radius first needs every distance; the
     # blocks after it are answered by their codeword or one sign row
     assert popcounts == [n]
@@ -636,13 +667,13 @@ def test_an_n12_walk_across_the_quarter_boundary_popcounts_once(monkeypatch):
 
 def test_count_satisfied_sees_blocks_changed_in_place():
     system = robustize(path_graph_instance(512, [{"u": 0, "v": 1, "w": 2}]))
-    sigma = system.sigma_ini
-    assert count_satisfied(system, sigma) == 2
+    sigma, state = system.sigma_ini, {}
+    assert count_satisfied(system, sigma, state) == 2
     # the same block object with other bits, then the same assignment with another block
     object.__setattr__(sigma.blocks["u"], "bits", had_encode(7, 9).bits)
-    assert count_satisfied(system, sigma) == fresh_count(system, sigma) == 1
+    assert count_satisfied(system, sigma, state) == fresh_count(system, sigma) == 1
     sigma.blocks["w"] = had_encode(7, 9)
-    assert count_satisfied(system, sigma) == fresh_count(system, sigma) == 0
+    assert count_satisfied(system, sigma, state) == fresh_count(system, sigma) == 0
 
 
 def test_concurrent_counts_match_fresh_evaluation():
@@ -657,7 +688,8 @@ def test_concurrent_counts_match_fresh_evaluation():
 
     def count(i, j, errors):
         try:
-            if [count_satisfied(systems[i], sigma) for sigma in walks[j]] != expected[i, j]:
+            state = {}  # each thread walks with its own
+            if [count_satisfied(systems[i], sigma, state) for sigma in walks[j]] != expected[i, j]:
                 errors.append((i, j))
         except Exception as exc:  # a thread's exception would otherwise be lost
             errors.append(exc)
@@ -793,9 +825,11 @@ def assert_same_outcome(reference, tested, *args):
 def test_decoders_match_per_step_references_on_random_walks(n, moves):
     with tempfile.TemporaryDirectory() as directory:
         calls = random_walk_calls(n, moves, Path(directory))
-    walked = bit_by_bit(calls)
+    walked, state = bit_by_bit(calls), {}
     for system, sigma in calls + walked:
-        assert_same_outcome(fresh_count, count_satisfied, system, sigma)
+        assert_same_outcome(
+            fresh_count, lambda *args: count_satisfied(*args, state), system, sigma
+        )
     for walk in ([sigma for _, sigma in calls], [sigma for _, sigma in walked]):
         assert_same_outcome(reference_extract, extract_psi_sequence, calls[0][0], walk)
 
@@ -840,8 +874,8 @@ def test_kept_verdicts_match_fresh_counts_across_the_quarter_and_window(n, offse
             blocks[v] = BitFunction(n, bits)
         return BlockAssignment(n, blocks)
 
-    which, step = 0, sigma()
-    assert count_satisfied(systems[0], step) == fresh_count(systems[0], step)
+    which, step, state = 0, sigma(), {}
+    assert count_satisfied(systems[0], step, state) == fresh_count(systems[0], step)
     for vertex, kind, r, switch in moves:
         v = "uvw"[vertex]
         if kind == "random":
@@ -853,7 +887,7 @@ def test_kept_verdicts_match_fresh_counts_across_the_quarter_and_window(n, offse
         if switch == 0:  # now and then the other system: the kept state is replaced
             which ^= 1
         step = sigma()
-        assert count_satisfied(systems[which], step) == fresh_count(systems[which], step)
+        assert count_satisfied(systems[which], step, state) == fresh_count(systems[which], step)
 
 
 def test_extracting_a_long_n12_walk_holds_one_chunk_of_distances():

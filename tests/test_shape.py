@@ -6,7 +6,8 @@ is one of a few named maps of the paper that the tests call.  Values are
 exact integers and fractions, so no floating point may enter the code apart
 from a few named reporting functions.  A cache with no size limit is allowed
 only where a guard constant bounds its key; the guard is imported here, so
-deleting it fails this module.
+deleting it fails this module.  No `global` statement rebinds module state, so
+no call's result depends on what an earlier call left behind.
 """
 
 import ast
@@ -200,6 +201,12 @@ def _unbounded_caches(tree) -> set[str]:
     return found
 
 
+def _global_statements(tree) -> list[tuple[int, tuple[str, ...]]]:
+    """(line, names) of every `global` statement."""
+    return [(node.lineno, tuple(node.names)) for node in ast.walk(tree)
+            if isinstance(node, ast.Global)]
+
+
 def test_every_definition_is_named_in_the_package_or_allowed():
     assert _uncalled(dict(_modules())) == set(UNCALLED)
     tests = {node.name for path in TESTS.glob("test_*.py")
@@ -216,6 +223,11 @@ def test_every_unbounded_cache_is_keyed_below_an_imported_guard():
     found = {(module, name) for module, tree in _modules() for name in _unbounded_caches(tree)}
     assert found == set(UNBOUNDED_CACHES)
     assert all(type(guard) is int and guard > 0 for guard in UNBOUNDED_CACHES.values())
+
+
+def test_no_global_statement_rebinds_module_state():
+    found = {module: _global_statements(tree) for module, tree in _modules()}
+    assert {module: lines for module, lines in found.items() if lines} == {}
 
 
 def test_the_scans_see_what_they_look_for():
@@ -250,3 +262,10 @@ def test_the_scans_see_what_they_look_for():
     )
     assert _uncalled({"probe": probe}) == {("probe", "unused"), ("probe", "caller"),
                                            ("probe", "K.reversed"), ("probe", "K.called")}
+    probe = ast.parse(
+        "def f():\n"
+        "    global LAST, SEEN\n"
+        "    def g():\n"
+        "        global LAST\n"
+    )
+    assert _global_statements(probe) == [(2, ("LAST", "SEEN")), (4, ("LAST",))]
